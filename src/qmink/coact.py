@@ -13,7 +13,6 @@ scalar ring and a check passes iff every residual normalizes to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .ncalg import NCPolynomial, Presentation, embed, render_poly, tensor
 from .scalars import Scalar
@@ -72,16 +71,22 @@ class Morphism:
                               stars.entries + relations.entries)
 
     def apply(self, poly: NCPolynomial) -> NCPolynomial:
-        """Multiplicative, linear extension of the generator images, normalized."""
+        """Multiplicative, linear extension of the generator images, normalized.
+
+        The product is normalized after each factor rather than built in
+        full first.  For a confluent codomain (the builtins are certified
+        so) this is the normal form of the whole free product.
+        """
         n = len(self.domain.generators)
         out = NCPolynomial.zero()
         for word, coeff in poly.terms.items():
             if any(i >= n for i in word):
                 raise ValueError(f"word {word} does not live in {self.domain.name}")
-            factors = [self.images[i] for i in word]
-            prod = reduce(lambda acc, f: acc * f, factors, NCPolynomial.unit())
-            out = out + prod.scale(coeff)
-        return self.codomain.normalize(out)
+            prod = NCPolynomial.unit(coeff)
+            for i in word:
+                prod = self.codomain.normalize(prod * self.images[i])
+            out = out + prod
+        return out
 
     def __repr__(self):
         return (f"Morphism({self.name}: {self.domain.name} -> "

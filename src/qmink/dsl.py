@@ -586,7 +586,13 @@ def builtin(name: str) -> BuiltinBundle:
         factors = _codomain_factor_names(m, parsed.presentations)
         dom = closed[m.domain.name]
         cod = tensor_many([closed[f] for f in factors])
-        morphism = Morphism(mname, dom, cod, m.images)
+        # the parsed images were normalized before star closure; rebuild
+        # them against the closed codomain so they are canonical
+        unstarred = {i: img for i, img in m.images.items()
+                     if not dom.generators[i].starred}
+        morphism = Morphism.from_unstarred(mname, dom, cod, unstarred)
+        assert all(cod.normalize(img) == img for img in morphism.images.values()), \
+            f"builtin {name}: an image of {mname} is not in normal form"
         report = morphism.validate()
         if not morphism.validated:
             bad = report.failures()[0]

@@ -17,6 +17,14 @@ counted against the declared generator order.  Every builtin rule strictly
 decreases this order, which gives termination; local confluence is checked
 explicitly via critical pairs.
 
+Strategies.  The deterministic normalizer rewrites the leftmost redex with
+the first declared rule matching there.  It finds redexes through an index
+from left-hand side to rule, and memoizes the normal form of every word it
+meets for the duration of one `normalize` call; since the strategy is a
+function of the word, the memo changes no result, confluent or not.  The
+random-redex strategy (``rng=``) scans with neither index nor memo: it is
+the independent oracle the deterministic one is checked against.
+
 All structures are immutable after construction; normalization is pure.
 """
 
@@ -176,11 +184,16 @@ class Presentation:
         self.star_closed = bool(star_closed)
         self.nlegs = 1 + max((g.leg for g in generators), default=0)
         by_first = {}
-        for rule in self.rules:
+        by_lhs = {}
+        for k, rule in enumerate(self.rules):
             if not rule.lhs:
                 raise ValueError("rewrite rule with empty left-hand side")
             by_first.setdefault(rule.lhs[0], []).append(rule)
+            by_lhs.setdefault(rule.lhs, (k, rule))
         self._by_first = by_first
+        # rule index of the deterministic strategy: lhs -> first declared rule
+        self._by_lhs = by_lhs
+        self._lhs_lengths = tuple(sorted({len(lhs) for lhs in by_lhs}))
         self._heavy = frozenset(i for i, g in enumerate(generators) if g.heavy)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -242,17 +255,123 @@ class Presentation:
 
     def find_redex(self, word: Word):
         """Leftmost redex, first matching rule in declaration order."""
-        return next(self._matches(word), None)
+        by_lhs = self._by_lhs
+        lengths = self._lhs_lengths
+        n = len(word)
+        if len(lengths) == 1:
+            (L,) = lengths
+            for i in range(n - L + 1):
+                hit = by_lhs.get(word[i:i + L])
+                if hit is not None:
+                    return i, hit[1]
+            return None
+        for i in range(n):
+            best = None
+            for L in lengths:
+                if i + L > n:
+                    break
+                hit = by_lhs.get(word[i:i + L])
+                if hit is not None and (best is None or hit[0] < best[0]):
+                    best = hit
+            if best is not None:
+                return i, best[1]
+        return None
 
     def normalize(self, poly: NCPolynomial, *, step_limit: int = DEFAULT_STEP_LIMIT,
                   rng=None) -> NCPolynomial:
         """Exhaustive rewriting to normal form.
 
-        The default strategy is deterministic (leftmost redex, first rule);
-        passing a seeded ``rng`` picks random redexes instead, which is used
-        to cross-check confluence.  Exceeding ``step_limit`` raises
-        StepLimitExceeded rather than returning a truncated answer.
+        The default strategy is deterministic: leftmost redex, and among
+        the rules matching there the first declared.  It is a function of
+        the word alone, so the normal form of every word met is memoized;
+        the memo lives for this one call and is never shared, and the result
+        equals plain rewriting even for non-confluent rule sets.  Passing a
+        seeded ``rng`` picks random redexes instead, with neither memo nor
+        rule index, which is used to cross-check confluence.  Each word
+        expanded counts as one step; exceeding ``step_limit``, or a word
+        rewriting back to itself, raises StepLimitExceeded rather than
+        returning a truncated answer.
         """
+        if rng is not None:
+            return self._normalize_random(poly, step_limit, rng)
+        memo = {}
+        self._fill_memo(poly.words(), memo, step_limit)
+        out = {}
+        for word, coeff in poly.terms.items():
+            factor, nf = memo[word]
+            factor = factor * coeff
+            for w, c in nf.items():
+                c = c * factor
+                acc = out.get(w)
+                out[w] = c if acc is None else acc + c
+        # equal coefficients share one object, which keeps results small and
+        # lets products with the unit skip work (see Scalar.__mul__)
+        shared = {ONE: ONE}
+        return NCPolynomial({w: shared.setdefault(c, c) for w, c in out.items()})
+
+    def _fill_memo(self, words, memo: dict, step_limit: int) -> None:
+        """Put the normal form of each word into memo, as (factor, {word: Scalar}).
+
+        The normal form is factor times the dict, so a rewrite to a single
+        word only scales the factor and shares its child's dict.  Iterative
+        depth-first expansion: a word is expanded (one step) when first met
+        and marked open (None in memo); its normal form replaces the mark
+        once the normal forms of all its one-step rewrites are in.  The open
+        words are the chain of ancestors of the word in hand, so a rewrite
+        that is still open is a rule cycle: it raises at once, as does
+        exceeding the step limit.
+        """
+        steps = 0
+        stack = [(w, None) for w in words]
+        while stack:
+            w, parts = stack.pop()
+            if parts is None:
+                if w in memo:
+                    continue
+                hit = self.find_redex(w)
+                if hit is None:
+                    memo[w] = (ONE, {w: ONE})
+                    continue
+                steps += 1
+                if steps > step_limit:
+                    raise StepLimitExceeded(
+                        f"normalization in {self.name} exceeded {step_limit} steps")
+                i, rule = hit
+                prefix, suffix = w[:i], w[i + len(rule.lhs):]
+                parts = [(prefix + rw + suffix, rc) for rw, rc in rule.rhs._terms.items()]
+                memo[w] = None
+                stack.append((w, parts))
+                for child, _ in parts:
+                    if child not in memo:
+                        stack.append((child, None))
+                continue
+            nfs = [memo[child] for child, _ in parts]
+            if None in nfs:
+                raise StepLimitExceeded(
+                    f"normalization in {self.name} does not terminate: "
+                    f"a word rewrites back to itself")
+            if len(parts) == 1:
+                factor, nf = nfs[0]
+                memo[w] = (parts[0][1] * factor, nf)
+                continue
+            nf = {}
+            for (_, rc), (factor, child_nf) in zip(parts, nfs):
+                factor = rc * factor
+                for cw, cc in child_nf.items():
+                    cc = cc * factor
+                    acc = nf.get(cw)
+                    if acc is None:
+                        nf[cw] = cc
+                    else:
+                        cc = acc + cc
+                        if cc.is_zero():
+                            del nf[cw]
+                        else:
+                            nf[cw] = cc
+            memo[w] = (ONE, nf)
+
+    def _normalize_random(self, poly, step_limit, rng) -> NCPolynomial:
+        """Random-redex rewriting: the unmemoized oracle for normalize."""
         out = {}
         stack = [(w, c) for w, c in poly.terms.items()]
         steps = 0
@@ -260,11 +379,8 @@ class Presentation:
             word, coeff = stack.pop()
             if coeff.is_zero():
                 continue
-            if rng is None:
-                hit = self.find_redex(word)
-            else:
-                options = list(self._matches(word))
-                hit = rng.choice(options) if options else None
+            options = list(self._matches(word))
+            hit = rng.choice(options) if options else None
             if hit is None:
                 acc = out.get(word)
                 total = coeff if acc is None else acc + coeff

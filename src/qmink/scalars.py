@@ -7,9 +7,13 @@ is an integer power of q; in particular t = e^{-8s} = q^-4.  q is a formal
 *positive real* unit, so the star operation conjugates coefficients and
 fixes q.
 
-All arithmetic is exact: rational components are `fractions.Fraction`
-(arbitrary-precision integers underneath), and the only lossy operation is
-the explicit bridge `Scalar.eval(s)` into complex doubles.
+All arithmetic is exact.  A rational component is held as a plain `int`
+when it is integral and as a `fractions.Fraction` only when its denominator
+is not 1; every operation returns components in that canonical form, so the
+builtin coefficients (1, q^4, q^-4, ...) never pay for `Fraction`
+arithmetic.  Both types are arbitrary precision, compare and hash alike
+(`3 == Fraction(3)`), and render alike.  The only lossy operation is the
+explicit bridge `Scalar.eval(s)` into complex doubles.
 """
 
 from __future__ import annotations
@@ -23,38 +27,46 @@ class EvalOverflowError(ArithmeticError):
     """Raised when Scalar.eval would overflow a double; never silently saturated."""
 
 
-def _fr(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _fr(value):
+    """Canonical exact rational: an `int` when integral, else a `Fraction`."""
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, (Fraction, str)):
+        return _canon(Fraction(value))
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """An element re + im*i of Q(i), held exactly."""
+def _canon(x):
+    """Collapse a `Fraction` with denominator 1 back to `int`."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
 
-    re: Fraction
-    im: Fraction
+
+@dataclass(frozen=True, slots=True)
+class GaussianRational:
+    """An element re + im*i of Q(i), held exactly (components int or Fraction)."""
+
+    re: int | Fraction
+    im: int | Fraction
 
     @staticmethod
     def of(re, im=0) -> "GaussianRational":
         return GaussianRational(_fr(re), _fr(im))
 
     def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return GaussianRational(_canon(self.re + other.re),
+                                _canon(self.im + other.im))
 
     def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return GaussianRational(_canon(self.re - other.re),
+                                _canon(self.im - other.im))
 
     def __mul__(self, other):
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:
+            return GaussianRational(_canon(a * c), 0)
+        return GaussianRational(_canon(a * c - b * d), _canon(a * d + b * c))
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -66,10 +78,11 @@ class GaussianRational:
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        n = Fraction(n)
+        return GaussianRational(_canon(self.re / n), _canon(-self.im / n))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -89,9 +102,9 @@ class GaussianRational:
         return f"({self.re}{sign}{imag.lstrip('-')})"
 
 
-GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
-GR_ONE = GaussianRational(Fraction(1), Fraction(0))
-GR_I = GaussianRational(Fraction(0), Fraction(1))
+GR_ZERO = GaussianRational(0, 0)
+GR_ONE = GaussianRational(1, 0)
+GR_I = GaussianRational(0, 1)
 
 
 class Scalar:
@@ -167,28 +180,47 @@ class Scalar:
         terms = dict(self._terms)
         for k, c in other._terms.items():
             acc = terms.get(k)
-            terms[k] = c if acc is None else acc + c
-        return Scalar(terms)
+            if acc is None:
+                terms[k] = c
+            else:
+                total = acc + c
+                if total.is_zero():
+                    del terms[k]
+                else:
+                    terms[k] = total
+        return _scalar(terms)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar({k: -c for k, c in self._terms.items()})
+        return _scalar({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        # the shared unit returns the other factor itself, so products with
+        # it allocate nothing and results share their coefficient objects
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
+        a, b = self._terms, other._terms
+        if len(a) == 1 or len(b) == 1:
+            # a monomial factor sends distinct exponents to distinct ones,
+            # and Q(i) has no zero divisors: nothing merges or cancels
+            return _scalar({k1 + k2: c1 * c2
+                            for k1, c1 in a.items() for k2, c2 in b.items()})
         terms = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 k = k1 + k2
                 p = c1 * c2
                 acc = terms.get(k)
                 terms[k] = p if acc is None else acc + p
-        return Scalar(terms)
+        return _scalar({k: c for k, c in terms.items() if not c.is_zero()})
 
     def star(self) -> "Scalar":
         """Complex conjugation; q is a formal positive real, hence fixed."""
-        return Scalar({k: c.conjugate() for k, c in self._terms.items()})
+        return _scalar({k: c.conjugate() for k, c in self._terms.items()})
 
     def inverse(self) -> "Scalar":
         if not self.is_unit():
@@ -242,6 +274,13 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+def _scalar(terms: dict) -> Scalar:
+    """Wrap a dict that is already canonical (int keys, nonzero values)."""
+    out = object.__new__(Scalar)
+    object.__setattr__(out, "_terms", terms)
+    return out
 
 
 def _render_monomial(coeff: GaussianRational, k: int) -> str:

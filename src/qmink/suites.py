@@ -1,8 +1,7 @@
 """The five verification suites behind `qmink check` and `qmink report-all`.
 
-Suites are pure given their parameters and seed; `run_all` executes them
-concurrently (they share only immutable presentations) and emits them in a
-fixed order so reports are byte-stable.
+Suites are pure given their parameters and seed; `run_all` runs them one
+after another, in a fixed order, so reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import cocycle as cc
 from . import coact, oplab
@@ -176,7 +174,10 @@ def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
 
 def run_all(samples: int = 1000, cocycle_samples: int = 10000, seed: int = 0,
             tol: float = DEFAULT_TOL, convention: str = "plain") -> ReportBundle:
-    """Run the five suites (concurrently; deterministic emission order)."""
+    """Run the five suites in order.
+
+    The suites are pure Python and hold the interpreter lock throughout, so
+    threads could not overlap them."""
     jobs = (
         lambda: run_presentation_suite(samples=samples, seed=seed),
         run_hopf_suite,
@@ -185,7 +186,4 @@ def run_all(samples: int = 1000, cocycle_samples: int = 10000, seed: int = 0,
         lambda: run_pq_suite(samples=samples, seed=seed, tol=tol,
                              convention=convention),
     )
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        futures = [pool.submit(timed, job) for job in jobs]
-        reports = [f.result() for f in futures]
-    return ReportBundle(reports, seed=seed)
+    return ReportBundle([timed(job) for job in jobs], seed=seed)

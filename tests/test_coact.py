@@ -1,6 +1,7 @@
 """Morphism machinery: the comultiplication, the coaction, and their checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from qmink import coact
 from qmink.coact import Morphism
-from qmink.dsl import builtin, parse_expression
+from qmink.dsl import BUILTIN_NAMES, builtin, parse_expression
 from qmink.ncalg import NCPolynomial, tensor
 from qmink.scalars import GaussianRational, Scalar
 
@@ -58,6 +59,39 @@ def test_apply_is_multiplicative(seed):
 
     p, r = rand_poly(), rand_poly()
     assert m.apply(p * r) == m.codomain.normalize(m.apply(p) * m.apply(r))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9))
+def test_factorwise_apply_matches_oracle_on_free_product(seed):
+    """Random images of degree <= 3 into a confluent builtin codomain: apply
+    must equal the random-strategy normal form of the whole free product."""
+    rng = random.Random(seed)
+    lor = builtin("lorentz").presentation("lorentz")
+    mink = builtin("minkowski").presentation("minkowski")
+    dom, cod = rng.choice([(mink, lor), (lor, mink), (mink, tensor(lor, lor))])
+
+    def rand_poly(pres, terms):
+        out = NCPolynomial.zero()
+        for _ in range(terms):
+            word = tuple(rng.randrange(len(pres.generators))
+                         for _ in range(rng.randint(0, 3)))
+            coeff = Scalar.of(GaussianRational.of(
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1)),
+                rng.randint(-2, 2))
+            out = out + NCPolynomial.word(word, coeff)
+        return out
+
+    images = {i: rand_poly(cod, 2) for i in range(len(dom.generators))}
+    m = Morphism("random", dom, cod, images)
+    poly = rand_poly(dom, 3)
+    free = NCPolynomial.zero()
+    for word, coeff in poly.terms.items():
+        prod = NCPolynomial.unit(coeff)
+        for i in word:
+            prod = prod * images[i]
+        free = free + prod
+    assert m.apply(poly) == cod.normalize(free, rng=random.Random(seed + 1))
 
 
 def test_apply_rejects_foreign_words():
@@ -231,6 +265,21 @@ def test_builtin_morphisms_are_validated():
     assert delta_h().validated
     vreport = builtin("classical").morphism("DeltaH").validate()
     assert vreport.ok
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_morphism_images_are_in_normal_form(name):
+    for m in builtin(name).morphisms.values():
+        assert m.codomain.star_closed
+        for img in m.images.values():
+            assert m.codomain.normalize(img) == img
+
+
+def test_coaction_image_of_x_is_stored_in_normal_form():
+    m = delta_h()
+    stored = m.images[m.domain.index_of("x")]
+    assert stored == parse_expression(
+        "y@c c' + q^-4 w@c a' + q^-4 w'@a c' + x@a a'", m.codomain)
 
 
 def test_invalid_morphism_is_not_marked_valid():

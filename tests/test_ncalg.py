@@ -103,6 +103,75 @@ def test_step_limit_reports_nontermination():
         bad.normalize(parse_expression("a b", bad), step_limit=50)
 
 
+# -- the memoized deterministic strategy --------------------------------------
+
+
+def plain_leftmost_normal_form(pres, poly):
+    """Unmemoized rewriting with the documented tie-break, as a reference."""
+    out = NCPolynomial.zero()
+    stack = list(poly.terms.items())
+    while stack:
+        word, coeff = stack.pop()
+        hit = next(pres._matches(word), None)
+        if hit is None:
+            out = out + NCPolynomial.word(word, coeff)
+            continue
+        i, rule = hit
+        for rw, rc in rule.rhs.terms.items():
+            stack.append((word[:i] + rw + word[i + len(rule.lhs):], coeff * rc))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("which", ["lorentz", "lorentz@lorentz"])
+def test_memoized_normal_form_matches_random_strategy(which, seed):
+    pres = lorentz() if which == "lorentz" else tensor(lorentz(), lorentz())
+    rng = random.Random(seed)
+    n = len(pres.generators)
+    word = tuple(rng.randrange(n) for _ in range(rng.randint(0, 40)))
+    poly = NCPolynomial.word(word)
+    assert pres.normalize(poly) == pres.normalize(poly, rng=random.Random(seed + 1))
+
+
+def test_tie_break_is_leftmost_then_first_declared():
+    long_first = abstract_presentation("abc", [("abc", "c"), ("ab", "b"), ("b", "a")])
+    assert nf(long_first, "a b c") == parse_expression("c", long_first)
+    assert nf(long_first, "c a b") == parse_expression("c a", long_first)
+    short_first = abstract_presentation("abc", [("ab", "b"), ("abc", "c"), ("b", "a")])
+    assert nf(short_first, "a b c") == parse_expression("a c", short_first)
+    same_lhs = abstract_presentation("abc", [("ab", "c"), ("ab", "b")])
+    assert nf(same_lhs, "c a b") == parse_expression("c c", same_lhs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_memo_keeps_the_deterministic_answer_without_confluence(seed):
+    # the nonadjacent determinant order below is not confluent
+    pres = abstract_presentation("abcd", [
+        ("ba", "a b"), ("ca", "a c"), ("cb", "b c"), ("db", "b d"),
+        ("dc", "c d"), ("da", "1 + b c"), ("ad", "1 + b c")])
+    poly = random_poly(pres, random.Random(seed), terms=3, max_len=8)
+    assert pres.normalize(poly) == plain_leftmost_normal_form(pres, poly)
+
+
+def test_long_word_normalizes_without_recursion_error():
+    p = minkowski()
+    x, w = p.index_of("x"), p.index_of("w")
+    # each of the 4 w's passes 296 x's: a chain of 1184 rewrites
+    word = NCPolynomial.word((w,) * 4 + (x,) * 296)
+    expected = NCPolynomial.word((x,) * 296 + (w,) * 4, Scalar.q_power(-4 * 1184))
+    assert p.normalize(word) == expected
+
+
+def test_rule_cycle_raises_under_the_memo_path():
+    cycle = abstract_presentation("ab", [("a", "b"), ("b", "a")])
+    with pytest.raises(StepLimitExceeded):
+        cycle.normalize(parse_expression("a", cycle))
+    growth = abstract_presentation("a", [("a", "a a")])
+    with pytest.raises(StepLimitExceeded):
+        growth.normalize(parse_expression("a", growth), step_limit=50)
+
+
 # -- classical limit oracle ---------------------------------------------------
 
 

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmink.scalars import (GR_ONE, EvalOverflowError, GaussianRational,
-                           Scalar)
+from qmink.scalars import (GR_I, GR_ONE, GR_ZERO, EvalOverflowError,
+                           GaussianRational, Scalar)
 
 Q = Scalar.q_power
 
@@ -119,3 +119,104 @@ def test_eval_is_ring_homomorphism(a, b, s):
     scale = max(1.0, abs(a.eval(s)), abs(b.eval(s)))
     assert abs((a + b).eval(s) - (a.eval(s) + b.eval(s))) <= 1e-13 * scale
     assert abs((a * b).eval(s) - a.eval(s) * b.eval(s)) <= 1e-13 * scale * scale
+
+
+# -- differential check against a Fraction-only reference ---------------------
+#
+# The reference holds a scalar as {exponent: (re, im)} with Fraction
+# components and no zero entries; the scalars under test keep integral
+# components as int.  Both must agree value for value, and the int-backed
+# results must render, compare and hash like the same value held as
+# Fractions throughout.
+
+rationals = st.one_of(st.integers(-6, 6),
+                      st.fractions(min_value=-6, max_value=6, max_denominator=6))
+raw_scalars = st.dictionaries(st.integers(-4, 4), st.tuples(rationals, rationals),
+                              max_size=3)
+ZERO_PAIR = (Fraction(0), Fraction(0))
+
+
+def ref_of(raw):
+    return {k: (Fraction(re), Fraction(im)) for k, (re, im) in raw.items()
+            if re or im}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, (re, im) in b.items():
+        r0, i0 = out.get(k, ZERO_PAIR)
+        out[k] = (r0 + re, i0 + im)
+    return {k: v for k, v in out.items() if v != ZERO_PAIR}
+
+
+def ref_mul(a, b):
+    out = {}
+    for k1, (r1, i1) in a.items():
+        for k2, (r2, i2) in b.items():
+            r0, i0 = out.get(k1 + k2, ZERO_PAIR)
+            out[k1 + k2] = (r0 + r1 * r2 - i1 * i2, i0 + r1 * i2 + i1 * r2)
+    return {k: v for k, v in out.items() if v != ZERO_PAIR}
+
+
+def ref_neg(a):
+    return {k: (-re, -im) for k, (re, im) in a.items()}
+
+
+def ref_star(a):
+    return {k: (re, -im) for k, (re, im) in a.items()}
+
+
+def ref_inverse(a):
+    ((k, (re, im)),) = a.items()
+    n = re * re + im * im
+    return {-k: (re / n, -im / n)}
+
+
+def scalar_of(ref):
+    return Scalar({k: GaussianRational.of(re, im) for k, (re, im) in ref.items()})
+
+
+def assert_matches(got, ref):
+    assert {k: (Fraction(c.re), Fraction(c.im))
+            for k, c in got.terms.items()} == ref
+    for c in got.terms.values():
+        for part in (c.re, c.im):
+            integral = Fraction(part).denominator == 1
+            assert type(part) is (int if integral else Fraction)
+    as_fractions = Scalar({k: GaussianRational(re, im) for k, (re, im) in ref.items()})
+    assert got == as_fractions
+    assert hash(got) == hash(as_fractions)
+    assert str(got) == str(as_fractions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_scalars, raw_scalars)
+def test_ring_operations_match_fraction_reference(x, y):
+    a, b = ref_of(x), ref_of(y)
+    sa, sb = scalar_of(a), scalar_of(b)
+    assert_matches(sa, a)
+    assert_matches(sa + sb, ref_add(a, b))
+    assert_matches(sa - sb, ref_add(a, ref_neg(b)))
+    assert_matches(sa * sb, ref_mul(a, b))
+    assert_matches(-sa, ref_neg(a))
+    assert_matches(sa.star(), ref_star(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-6, 6), rationals, rationals)
+def test_inverse_matches_fraction_reference(k, re, im):
+    assume(re or im)
+    a = ref_of({k: (re, im)})
+    assert_matches(scalar_of(a).inverse(), ref_inverse(a))
+
+
+def test_integral_components_are_ints():
+    assert type(GaussianRational.of(Fraction(6, 3)).re) is int
+    assert type(GaussianRational.of("4/2", "-3").im) is int
+    assert type(GaussianRational.of(Fraction(1, 2)).re) is Fraction
+    for c in (GR_ZERO, GR_ONE, GR_I):
+        assert type(c.re) is int and type(c.im) is int
+    half = GaussianRational.of(Fraction(1, 2))
+    assert type((half + half).re) is int
+    assert type(GaussianRational.of(2).inverse().re) is Fraction
+    assert type(GaussianRational.of(-1).inverse().re) is int
