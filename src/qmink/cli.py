@@ -70,8 +70,15 @@ def _builtin_presentation(name: str):
     raise DslError(f"no builtin algebra named {name!r}")
 
 
+def _samples(args) -> dict:
+    """--samples as a keyword argument; when it is not given, each suite
+    keeps its own default (10000 for cocycle, 1000 otherwise)."""
+    return {} if args.samples is None else {"samples": args.samples}
+
+
 def cmd_check(args) -> int:
     which = args.which
+    samples = _samples(args)
     if which == "presentation":
         presentations = None
         if args.file is not None:
@@ -87,7 +94,7 @@ def cmd_check(args) -> int:
                 raise DslError(f"no algebra named {args.algebra!r}")
             presentations = {args.algebra: presentations[args.algebra]}
         report = suites.timed(lambda: suites.run_presentation_suite(
-            samples=args.samples, seed=args.seed, presentations=presentations))
+            **samples, seed=args.seed, presentations=presentations))
     elif which == "hopf":
         if args.algebra not in (None, "lorentz"):
             raise DslError(f"the hopf suite runs on the lorentz builtin, "
@@ -98,8 +105,8 @@ def cmd_check(args) -> int:
     elif which == "cocycle":
         s_values = args.s if args.s else list(suites.ACCEPTANCE_S_VALUES)
         report = suites.timed(lambda: suites.run_cocycle_suite(
-            s_values=s_values, samples=args.samples if args.samples_given else 10000,
-            seed=args.seed, tol=args.tol, radius=args.radius))
+            s_values=s_values, **samples, seed=args.seed, tol=args.tol,
+            radius=args.radius))
     elif which == "pq":
         if (args.p is None) != (args.q is None):
             raise DslError("--p and --q must be given together")
@@ -107,7 +114,7 @@ def cmd_check(args) -> int:
                  else list(suites.ACCEPTANCE_PQ_PAIRS))
         s_values = args.s if args.s else list(suites.ACCEPTANCE_S_VALUES)
         report = suites.timed(lambda: suites.run_pq_suite(
-            pairs=pairs, samples=args.samples, seed=args.seed, tol=args.tol,
+            pairs=pairs, **samples, seed=args.seed, tol=args.tol,
             convention=args.pq_convention, s_values=s_values))
     else:  # pragma: no cover - argparse restricts choices
         raise DslError(f"unknown check {which!r}")
@@ -115,7 +122,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_report_all(args) -> int:
-    bundle = suites.run_all(samples=args.samples, cocycle_samples=args.cocycle_samples,
+    bundle = suites.run_all(**_samples(args), cocycle_samples=args.cocycle_samples,
                             seed=args.seed, tol=args.tol,
                             convention=args.pq_convention)
     return _emit(bundle, args.format)
@@ -123,8 +130,9 @@ def cmd_report_all(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (echoed in reports)")
-    parser.add_argument("--samples", type=int, default=1000,
-                        help="sample count for randomized checks")
+    parser.add_argument("--samples", type=int, default=None,
+                        help="sample count for randomized checks (default: "
+                             "10000 for cocycle, 1000 otherwise)")
     parser.add_argument("--tol", type=float, default=1e-12,
                         help="pass/fail residual threshold")
     parser.add_argument("--format", choices=("text", "json"), default="text")
@@ -171,10 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check":
-        args.samples_given = any(
-            a == "--samples" or a.startswith("--samples=")
-            for a in (argv if argv is not None else sys.argv[1:]))
     try:
         return args.func(args)
     except (DslError, EvalOverflowError, StepLimitExceeded, ValueError) as exc:

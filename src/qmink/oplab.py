@@ -19,6 +19,12 @@ used instead of matrices.)
 Residuals compare multipliers bucket-by-bucket over seeded sample points in
 a box, scaled by max(1, |value|) so the 1e-12 tolerance is meaningful for
 multipliers as large as e^8 * pq on the default [-4,4]^2 box.
+
+Evaluation is column-wise: a multiplier maps the column of sample points to
+a column of values, node by node, with a memo that lives for one comparison
+(`op_equal`, `op_norm_sample`) and holds one column per distinct subtree.
+Every value is computed with the same floating-point operations, in the same
+order, as a point-by-point walk of the tree would use.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from math import prod
+from operator import attrgetter
 
 from .scalars import Scalar
 
@@ -44,9 +52,26 @@ class PositivityError(ArithmeticError):
 
 
 class MultiplierExpr:
-    """Closed-form expression in (x, y): constants, e^{ax+by}, +, *, /, sqrt."""
+    """Closed-form expression in (x, y): constants, e^{ax+by}, +, *, /, sqrt.
+
+    Nodes are frozen dataclasses, so equal trees compare and hash equal.
+    `column` is the one evaluator: it maps sample columns (xs, ys) to a
+    column of values, filling a memo that maps each distinct subtree to its
+    column, so a subtree that occurs many times (or is rebuilt along another
+    route) is evaluated once per memo.  A one-point call `f(x, y)` is the
+    column evaluator on a single point.
+    """
 
     def __call__(self, x: float, y: float) -> complex:
+        return self.column((x,), (y,), {})[0]
+
+    def column(self, xs, ys, memo: dict) -> list:
+        col = memo.get(self)
+        if col is None:
+            col = memo[self] = self._column(xs, ys, memo)
+        return col
+
+    def _column(self, xs, ys, memo) -> list:
         raise NotImplementedError
 
     def conj(self) -> "MultiplierExpr":
@@ -70,8 +95,8 @@ class MultiplierExpr:
 class Const(MultiplierExpr):
     value: complex
 
-    def __call__(self, x, y):
-        return self.value
+    def _column(self, xs, ys, memo):
+        return [self.value] * len(xs)
 
     def conj(self):
         return Const(complex(self.value).conjugate())
@@ -87,8 +112,9 @@ class ExpLin(MultiplierExpr):
     cx: complex
     cy: complex
 
-    def __call__(self, x, y):
-        return cmath.exp(self.cx * x + self.cy * y)
+    def _column(self, xs, ys, memo):
+        cx, cy = self.cx, self.cy
+        return [cmath.exp(cx * x + cy * y) for x, y in zip(xs, ys)]
 
     def conj(self):
         return ExpLin(complex(self.cx).conjugate(), complex(self.cy).conjugate())
@@ -105,8 +131,9 @@ class Add(MultiplierExpr):
     a: MultiplierExpr
     b: MultiplierExpr
 
-    def __call__(self, x, y):
-        return self.a(x, y) + self.b(x, y)
+    def _column(self, xs, ys, memo):
+        ca = self.a.column(xs, ys, memo)
+        return [u + v for u, v in zip(ca, self.b.column(xs, ys, memo))]
 
     def conj(self):
         return Add(self.a.conj(), self.b.conj())
@@ -115,9 +142,13 @@ class Add(MultiplierExpr):
         return Add(self.a.shift(dx, dy), self.b.shift(dx, dy))
 
 
+_ONE = complex(1.0)
+_value_order = attrgetter("real", "imag")
+
+
 @dataclass(frozen=True)
 class Mul(MultiplierExpr):
-    """Product, evaluated over the flattened factors in value order.
+    """Product, evaluated at each point over the flattened factors in value order.
 
     Sorting before multiplying makes the result independent of how the
     product tree was associated, so algebraically equal compositions built
@@ -128,21 +159,23 @@ class Mul(MultiplierExpr):
     a: MultiplierExpr
     b: MultiplierExpr
 
-    def __call__(self, x, y):
-        vals = []
-        stack = [self]
+    def _factors(self) -> list:
+        """The non-product leaves of this product tree, right to left."""
+        leaves, stack = [], [self]
         while stack:
             e = stack.pop()
             if isinstance(e, Mul):
                 stack.append(e.a)
                 stack.append(e.b)
             else:
-                vals.append(complex(e(x, y)))
-        vals.sort(key=lambda z: (z.real, z.imag))
-        out = complex(1.0)
-        for v in vals:
-            out *= v
-        return out
+                leaves.append(e)
+        return leaves
+
+    def _column(self, xs, ys, memo):
+        cols = [list(map(complex, f.column(xs, ys, memo)))
+                for f in self._factors()]
+        return [prod(sorted(vals, key=_value_order), start=_ONE)
+                for vals in zip(*cols)]
 
     def conj(self):
         return Mul(self.a.conj(), self.b.conj())
@@ -156,8 +189,9 @@ class Div(MultiplierExpr):
     num: MultiplierExpr
     den: MultiplierExpr
 
-    def __call__(self, x, y):
-        return self.num(x, y) / self.den(x, y)
+    def _column(self, xs, ys, memo):
+        cn = self.num.column(xs, ys, memo)
+        return [u / v for u, v in zip(cn, self.den.column(xs, ys, memo))]
 
     def conj(self):
         return Div(self.num.conj(), self.den.conj())
@@ -172,13 +206,14 @@ class Sqrt(MultiplierExpr):
 
     arg: MultiplierExpr
 
-    def __call__(self, x, y):
-        v = complex(self.arg(x, y))
-        scale = abs(v) + 1.0
-        if abs(v.imag) > 1e-9 * scale or v.real < -1e-9 * scale:
-            raise PositivityError(
-                f"sqrt argument {v} at ({x}, {y}) is not a positive real")
-        return complex(math.sqrt(max(v.real, 0.0)))
+    def _column(self, xs, ys, memo):
+        vals = list(map(complex, self.arg.column(xs, ys, memo)))
+        for v, x, y in zip(vals, xs, ys):
+            scale = abs(v) + 1.0
+            if abs(v.imag) > 1e-9 * scale or v.real < -1e-9 * scale:
+                raise PositivityError(
+                    f"sqrt argument {v} at ({x}, {y}) is not a positive real")
+        return [complex(math.sqrt(max(v.real, 0.0))) for v in vals]
 
     def conj(self):
         return Sqrt(self.arg.conj())
@@ -354,10 +389,45 @@ def build_pq_pair(p: float, q: float) -> PQModel:
 # ---------------------------------------------------------------------------
 
 
-def _sample_points(samples, seed, box):
+def _sample_columns(samples, seed, box):
+    """Seeded sample points in the box, as the columns (xs, ys)."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    return [(rng.uniform(-box, box), rng.uniform(-box, box))
-            for _ in range(samples)]
+    xs, ys = [], []
+    for _ in range(samples):
+        xs.append(rng.uniform(-box, box))
+        ys.append(rng.uniform(-box, box))
+    return xs, ys
+
+
+def _columns(exprs, xs, ys, memo):
+    """The columns of exprs over the sample points.
+
+    If evaluation fails, the points are replayed one at a time (each expr
+    in turn), so the error raised is the one a point-by-point walk meets
+    first and names the same point.
+    """
+    try:
+        return [f.column(xs, ys, memo) for f in exprs]
+    except ArithmeticError:
+        for x, y in zip(xs, ys):
+            for f in exprs:
+                f(x, y)
+        raise
+
+
+def _fold_max(best, col):
+    """Fold a column into best = (value, index).
+
+    An entry wins only if strictly larger, as in max(worst, r), so the
+    index is the first point where the maximum is attained.
+    """
+    worst, at = best
+    for i, r in enumerate(col):
+        if r > worst:
+            worst, at = r, i
+    return worst, at
 
 
 def _match_buckets(a, b, shift_tol):
@@ -379,41 +449,57 @@ def _match_buckets(a, b, shift_tol):
     return pairs, unmatched_a, unmatched_b
 
 
+class Residual(float):
+    """An `op_equal` residual that also names its sample point.
+
+    `at` is the first sample (x, y) where the residual attains its maximum,
+    so evaluating both operators there reproduces it.
+    """
+
+    __slots__ = ("at",)
+
+    def __new__(cls, value: float, at: tuple):
+        self = super().__new__(cls, value)
+        self.at = at
+        return self
+
+
 def op_equal(a: ShiftMultiplierOperator, b: ShiftMultiplierOperator, *,
              samples: int = 1000, seed: int = 0, box: float = DEFAULT_BOX,
-             shift_tol: float = DEFAULT_SHIFT_TOL) -> float:
+             shift_tol: float = DEFAULT_SHIFT_TOL) -> Residual:
     """Scaled residual of operator equality.
 
     Shift buckets are matched within shift_tol; matched multipliers are
     compared pointwise over seeded samples with the residual
     |f_a - f_b| / max(1, |f_a|, |f_b|); an unmatched bucket contributes its
-    own scaled magnitude.
+    own scaled magnitude.  Multipliers are evaluated column-wise with one
+    memo for the whole comparison.
     """
-    pts = _sample_points(samples, seed, box)
+    xs, ys = _sample_columns(samples, seed, box)
     pairs, only_a, only_b = _match_buckets(a, b, shift_tol)
-    worst = 0.0
+    memo = {}
+    best = (0.0, 0)
     for va, vb in pairs:
-        fa, fb = a.atoms[va], b.atoms[vb]
-        for x, y in pts:
-            u, v = fa(x, y), fb(x, y)
-            worst = max(worst, abs(u - v) / max(1.0, abs(u), abs(v)))
+        cu, cv = _columns((a.atoms[va], b.atoms[vb]), xs, ys, memo)
+        best = _fold_max(best, [abs(u - v) / max(1.0, abs(u), abs(v))
+                                for u, v in zip(cu, cv)])
     for op, keys in ((a, only_a), (b, only_b)):
         for k in keys:
-            f = op.atoms[k]
-            for x, y in pts:
-                u = abs(f(x, y))
-                worst = max(worst, u / max(1.0, u))
-    return worst
+            (cu,) = _columns((op.atoms[k],), xs, ys, memo)
+            best = _fold_max(best, [u / max(1.0, u) for u in map(abs, cu)])
+    worst, at = best
+    return Residual(worst, (xs[at], ys[at]))
 
 
 def op_norm_sample(a: ShiftMultiplierOperator, *, samples=1000, seed=0,
                    box=DEFAULT_BOX) -> float:
     """Max multiplier magnitude over sample points (0 for the zero operator)."""
-    pts = _sample_points(samples, seed, box)
+    xs, ys = _sample_columns(samples, seed, box)
+    memo = {}
     worst = 0.0
     for f in a.atoms.values():
-        for x, y in pts:
-            worst = max(worst, abs(f(x, y)))
+        (col,) = _columns((f,), xs, ys, memo)
+        worst = max(worst, *map(abs, col))
     return worst
 
 

@@ -62,6 +62,8 @@ def run_presentation_suite(samples: int = 1000, seed: int = 0,
     By default runs on the builtin quantum presentations; pass a dict of
     presentations (e.g. from a parsed user file) to check those instead.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     if presentations is None:
         presentations = {name: builtin(name).presentation(name)
                          for name in ("lorentz", "minkowski")}
@@ -138,6 +140,19 @@ def run_cocycle_suite(s_values=ACCEPTANCE_S_VALUES, samples: int = 10000,
                        seed, checks)
 
 
+def _numeric_checks(prefix, label, residuals, tol):
+    """One CheckResult per oplab residual; a failing `op_equal` residual
+    names the sample point of its worst value, so it can be replayed."""
+    for ident, residual in residuals:
+        passed = residual < tol
+        detail = None
+        if not passed and isinstance(residual, oplab.Residual):
+            x, y = residual.at
+            detail = f"worst at ({x!r}, {y!r})"
+        yield CheckResult(f"{prefix}: {ident} ({label})", passed,
+                          residual=float(residual), detail=detail)
+
+
 def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
                  tol: float = DEFAULT_TOL, convention: str = "plain",
                  s_values=ACCEPTANCE_S_VALUES, box: float = 4.0) -> SuiteReport:
@@ -148,9 +163,8 @@ def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
         for result in (oplab.check_def_mu2(model, samples, seed, box),
                        oplab.check_QQstar(model, samples, seed, box),
                        oplab.check_twrs(model, samples, seed, box)):
-            for ident, residual in result.residuals:
-                checks.append(CheckResult(f"{result.name}: {ident} ({label})",
-                                          residual < tol, residual=residual))
+            checks.extend(_numeric_checks(result.name, label,
+                                          result.residuals, tol))
         contraction = max(
             oplab.op_norm_sample(oplab.z_transform(model.R), samples=samples,
                                  seed=seed, box=box),
@@ -161,10 +175,9 @@ def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
     for s in s_values:
         result = oplab.check_symbolic_consistency(
             s, convention=convention, samples=samples, seed=seed, box=box)
-        for ident, residual in result.residuals:
-            checks.append(CheckResult(
-                f"symbolic consistency: {ident} (s={s}, {convention})",
-                residual < tol, residual=residual))
+        checks.extend(_numeric_checks("symbolic consistency",
+                                      f"s={s}, {convention}",
+                                      result.residuals, tol))
     return SuiteReport("pq",
                        {"pairs": [[p, q] for p, q in pairs], "samples": samples,
                         "tol": tol, "convention": convention, "box": box,

@@ -149,3 +149,27 @@ def test_check_presentation_single_builtin_algebra(capsys):
 def test_check_presentation_unknown_algebra(capsys):
     code, _, err = run(capsys, "check", "presentation", "--algebra", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "pq", "--samples", "0"),
+    ("check", "pq", "--samples", "-5"),
+    ("check", "presentation", "--samples", "0"),
+    ("check", "cocycle", "--samples", "0"),
+    ("report-all", "--samples", "0"),
+])
+def test_sample_count_below_one_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "samples must be >= 1" in err
+    assert "PASS" not in out
+
+
+def test_samples_default_per_suite(capsys):
+    code, out, _ = run(capsys, "check", "cocycle", "--s", "0.7", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["inputs"]["samples"] == 10000
+    code, out, _ = run(capsys, "check", "pq", "--p", "1", "--q", "1",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["inputs"]["samples"] == 1000

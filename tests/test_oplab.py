@@ -5,11 +5,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmink.oplab import (Const, ExpLin, PositivityError, ShiftMultiplierOperator,
-                         Sqrt, adjoint, build_Q, build_pq_pair, check_QQstar,
-                         check_def_mu2, check_symbolic_consistency, check_twrs,
-                         compose, gaussian_bump, op_equal, op_norm_sample,
+from qmink.oplab import (Add, Const, Div, ExpLin, Mul, PositivityError,
+                         ShiftMultiplierOperator, Sqrt, adjoint, build_Q,
+                         build_pq_pair, check_QQstar, check_def_mu2,
+                         check_symbolic_consistency, check_twrs, compose,
+                         gaussian_bump, op_equal, op_norm_sample,
                          pq_from_pair_label, z_transform)
 
 PAIRS = ((1.0, 1.0), (2.0, 3.0), (0.5, math.e))
@@ -284,3 +287,294 @@ def test_wrong_shift_in_the_model_is_caught():
     broken = PQModel(p, q, wrong_a, -math.log(p * q), R, S)
     assert check_def_mu2(broken, samples=200, seed=5).max_residual > 1e-3
     assert check_twrs(broken, samples=200, seed=5).max_residual > 1e-3
+
+
+# -- column-wise evaluation against a per-point oracle ---------------------------
+#
+# The oracle below is the original point-by-point tree walk, kept here as a
+# reference that shares no code with qmink: it reads the node fields only and
+# never calls a node's own evaluator.
+
+
+def oracle_eval(e, x, y):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, ExpLin):
+        return cmath.exp(e.cx * x + e.cy * y)
+    if isinstance(e, Add):
+        return oracle_eval(e.a, x, y) + oracle_eval(e.b, x, y)
+    if isinstance(e, Mul):
+        vals = []
+        stack = [e]
+        while stack:
+            f = stack.pop()
+            if isinstance(f, Mul):
+                stack.append(f.a)
+                stack.append(f.b)
+            else:
+                vals.append(complex(oracle_eval(f, x, y)))
+        vals.sort(key=lambda z: (z.real, z.imag))
+        out = complex(1.0)
+        for v in vals:
+            out *= v
+        return out
+    if isinstance(e, Div):
+        return oracle_eval(e.num, x, y) / oracle_eval(e.den, x, y)
+    if isinstance(e, Sqrt):
+        v = complex(oracle_eval(e.arg, x, y))
+        scale = abs(v) + 1.0
+        if abs(v.imag) > 1e-9 * scale or v.real < -1e-9 * scale:
+            raise PositivityError(
+                f"sqrt argument {v} at ({x}, {y}) is not a positive real")
+        return complex(math.sqrt(max(v.real, 0.0)))
+    raise TypeError(f"unknown node {e!r}")
+
+
+def oracle_points(samples, seed, box=4.0):
+    rng = random.Random(seed)
+    return [(rng.uniform(-box, box), rng.uniform(-box, box))
+            for _ in range(samples)]
+
+
+def oracle_op_equal(a, b, pts, shift_tol=1e-9):
+    pairs, used = [], set()
+    only_a = []
+    for va in a.atoms:
+        vb = next((vb for vb in b.atoms if vb not in used
+                   and abs(va[0] - vb[0]) <= shift_tol
+                   and abs(va[1] - vb[1]) <= shift_tol), None)
+        if vb is None:
+            only_a.append(va)
+        else:
+            used.add(vb)
+            pairs.append((va, vb))
+    only_b = [vb for vb in b.atoms if vb not in used]
+    worst = 0.0
+    for va, vb in pairs:
+        fa, fb = a.atoms[va], b.atoms[vb]
+        for x, y in pts:
+            u, v = oracle_eval(fa, x, y), oracle_eval(fb, x, y)
+            worst = max(worst, abs(u - v) / max(1.0, abs(u), abs(v)))
+    for op, keys in ((a, only_a), (b, only_b)):
+        for k in keys:
+            for x, y in pts:
+                u = abs(oracle_eval(op.atoms[k], x, y))
+                worst = max(worst, u / max(1.0, u))
+    return worst
+
+
+def oracle_outcome(fn):
+    """The result of fn(), or the type and message of what it raised."""
+    try:
+        return fn()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def same_value(u, v):
+    return u == v or (u != u and v != v)
+
+
+def test_column_values_match_oracle_on_every_pq_suite_operator(monkeypatch):
+    """Every operator pair the pq suite compares, and every operator whose
+    norm it samples, evaluates bit-for-bit as the per-point walk does."""
+    import qmink.oplab as oplab
+    from qmink.suites import run_pq_suite
+    seen = []
+    equal, norm = oplab.op_equal, oplab.op_norm_sample
+
+    def record_equal(a, b, **kw):
+        seen.append((a, b, kw))
+        return equal(a, b, **kw)
+
+    def record_norm(a, **kw):
+        seen.append((a, ShiftMultiplierOperator.zero(), kw))
+        return norm(a, **kw)
+
+    monkeypatch.setattr(oplab, "op_equal", record_equal)
+    monkeypatch.setattr(oplab, "op_norm_sample", record_norm)
+    run_pq_suite(samples=150, seed=7)
+    monkeypatch.undo()
+    assert len(seen) > 40
+    for a, b, kw in seen:
+        pts = oracle_points(kw["samples"], kw["seed"], kw.get("box", 4.0))
+        xs, ys = [x for x, _ in pts], [y for _, y in pts]
+        memo = {}  # one memo per comparison, as op_equal uses
+        for f in list(a.atoms.values()) + list(b.atoms.values()):
+            col = f.column(xs, ys, memo)
+            want = [oracle_eval(f, x, y) for x, y in pts]
+            # bit-for-bit, signed zeros included
+            assert [repr(complex(u)) for u in col] == \
+                [repr(complex(v)) for v in want]
+        assert op_equal(a, b, **kw) == oracle_op_equal(a, b, pts)
+
+
+_LEAVES = st.one_of(
+    st.sampled_from([Const(1.0), Const(1 + 0j), Const(-0.0), Const(0.0),
+                     Const(2.5), Const(-1.5), Const(0.5 - 0.25j), Const(-0j)]),
+    st.builds(ExpLin, st.sampled_from([0.0, 1.0, -0.5, 0.5j]),
+              st.sampled_from([0.0, 1.0, -1.0, -0.25j])))
+
+
+def _rebuild(e):
+    """An equal tree made of fresh node objects."""
+    if isinstance(e, (Const, ExpLin)):
+        return type(e)(*(getattr(e, f) for f in e.__dataclass_fields__))
+    return type(e)(*(_rebuild(getattr(e, f)) for f in e.__dataclass_fields__))
+
+
+@st.composite
+def shared_trees(draw):
+    """A pool of expression DAGs: later nodes reuse earlier ones (shared
+    subtrees), equal copies built anew, Mul under Add/Div/Sqrt, and the
+    equal-comparing constants 1.0, 1+0j, -0.0 and 0.0 side by side."""
+    pool = draw(st.lists(_LEAVES, min_size=2, max_size=5))
+    for _ in range(draw(st.integers(2, 10))):
+        kind = draw(st.sampled_from(
+            ("add", "mul", "mul", "div", "sqrt", "sqrt_raw", "copy")))
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if kind == "add":
+            pool.append(Add(a, b))
+        elif kind == "mul":
+            pool.append(Mul(a, Mul(b, a)))
+        elif kind == "div":
+            pool.append(Div(Mul(a, b), Add(Const(1.0), Mul(b, b.conj()))))
+        elif kind == "sqrt":
+            pool.append(Sqrt(Add(Const(1 + 0j), Mul(a, a.conj()))))
+        elif kind == "sqrt_raw":
+            pool.append(Sqrt(a))
+        else:
+            pool.append(_rebuild(a))
+    return pool
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_trees(), st.integers(0, 10 ** 6))
+def test_column_values_match_oracle_on_shared_trees(pool, seed):
+    pts = oracle_points(12, seed)
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    memo = {}
+    for f in pool[-4:]:
+        want = oracle_outcome(lambda: [oracle_eval(f, x, y) for x, y in pts])
+        got = oracle_outcome(lambda: f.column(xs, ys, memo))
+        if isinstance(want, tuple):  # the walk raised; the columns raise too
+            assert isinstance(got, tuple) and issubclass(got[0], ArithmeticError)
+            memo = {}
+            continue
+        assert all(map(same_value, got, want))
+        assert all(same_value(f(x, y), w) for (x, y), w in zip(pts, want))
+    a = ShiftMultiplierOperator({(0.0, 0.0): pool[-1], (1.0, 0.0): pool[-2]})
+    b = ShiftMultiplierOperator({(0.0, 0.0): pool[-3], (0.0, 2.0): pool[0]})
+    want = oracle_outcome(lambda: oracle_op_equal(a, b, pts))
+    got = oracle_outcome(lambda: op_equal(a, b, samples=12, seed=seed))
+    if isinstance(want, tuple) and want[0] is not PositivityError:
+        assert got[0] is want[0]  # e.g. a division by zero; messages vary by type
+    else:
+        assert got == want
+
+
+def test_equal_constants_of_different_types_share_a_column():
+    e = Const(2.0) + Const(-1.5)
+    siblings = [Add(Const(1.0), e), Add(Const(1 + 0j), e),
+                Mul(Const(-0.0), ExpLin(1.0, 0.0)), Mul(Const(0.0), ExpLin(1.0, 0.0)),
+                Div(Add(Const(1.0), e), Sqrt(Add(Const(1 + 0j), Mul(e, e))))]
+    pts = oracle_points(20, 3)
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    memo = {}
+    for f in siblings:
+        assert f.column(xs, ys, memo) == [oracle_eval(f, x, y) for x, y in pts]
+    # 1.0 and 1+0j share one entry, -0.0 and 0.0 another; 2.0 and -1.5 remain
+    assert len([k for k in memo if isinstance(k, Const)]) == 4
+
+
+def test_sqrt_positivity_error_names_the_first_failing_point():
+    f = Sqrt(Add(Const(-5.0), ExpLin(1.0, 0.0)))  # negative for x < ln 5
+    pts = oracle_points(50, 2)
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    want = oracle_outcome(lambda: [oracle_eval(f, x, y) for x, y in pts])
+    assert want[0] is PositivityError
+    assert oracle_outcome(lambda: f.column(xs, ys, {})) == want
+    op = ShiftMultiplierOperator.multiplier(f)
+    assert oracle_outcome(lambda: op_equal(op, op, samples=50, seed=2)) == want
+    assert oracle_outcome(lambda: op_norm_sample(op, samples=50, seed=2)) == want
+
+
+def test_positivity_error_follows_the_point_order_across_nodes():
+    # The first Sqrt fails only where x > 3.5, the second where y > 3.0; with
+    # seed 0 the second fails first (point 8, against point 31), and the
+    # error must name that point, as a point-by-point walk does.
+    first = Sqrt(Add(Const(1.0), Mul(Const(-math.exp(-3.5)), ExpLin(1.0, 0.0))))
+    second = Sqrt(Add(Const(1.0), Mul(Const(-math.exp(-3.0)), ExpLin(0.0, 1.0))))
+    op = ShiftMultiplierOperator.multiplier(Add(first, second))
+    pts = oracle_points(200, 0)
+    want = oracle_outcome(lambda: oracle_op_equal(op, op, pts))
+    assert want[0] is PositivityError and f"at {pts[8]}".replace(" ", "") in \
+        want[1].replace(" ", "")
+    assert oracle_outcome(lambda: op_equal(op, op, samples=200, seed=0)) == want
+
+
+@pytest.mark.parametrize("fn", [
+    lambda: op_equal(ShiftMultiplierOperator.identity(),
+                     ShiftMultiplierOperator.identity(), samples=0),
+    lambda: op_norm_sample(ShiftMultiplierOperator.identity(), samples=-5),
+])
+def test_comparisons_need_at_least_one_sample(fn):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        fn()
+
+
+def test_op_equal_names_the_worst_point():
+    m = build_pq_pair(2.0, 3.0)
+    a, b = compose(m.R, m.S), compose(m.S, m.R).scaled(m.p ** 2)
+    r = op_equal(a, b, samples=300, seed=4)
+    assert r > 0.0
+    pts = oracle_points(300, 4)
+    at = pts.index(r.at)
+    assert oracle_op_equal(a, b, pts[at:at + 1]) == r
+    assert oracle_op_equal(a, b, pts[:at]) < r  # the first point attaining r
+    same = op_equal(m.R, m.R, samples=300, seed=4)
+    assert (same, same.at) == (0.0, pts[0])
+
+
+def test_failing_pq_check_names_a_replayable_worst_point(capsys):
+    import json
+    import re
+
+    from qmink.cli import main
+    assert main(["check", "pq", "--p", "2", "--q", "3", "--tol", "1e-30",
+                 "--format", "json"]) == 1
+    checks = {c["name"]: c for c in
+              json.loads(capsys.readouterr().out)["reports"][0]["checks"]}
+    m = build_pq_pair(2.0, 3.0)
+    p, q, R, S = m.p, m.q, m.R, m.S
+    Sstar = adjoint(S)
+    operators = {
+        "twrs: RS = p^2 SR": (compose(R, S), compose(S, R).scaled(p * p)),
+        "twrs: RS* = q^2 S*R": (compose(R, Sstar),
+                                compose(Sstar, R).scaled(q * q)),
+        "def-mu2: z(R)z(S*) = z_pq(S*)z_q/p(R)": (
+            compose(z_transform(R), z_transform(Sstar)),
+            compose(z_transform(Sstar, p * q), z_transform(R, q / p))),
+        "QQ*: (QQ*)_12 = 0": (
+            compose(build_Q(m)[0][0], adjoint(build_Q(m)[1][0]))
+            + compose(build_Q(m)[0][1], adjoint(build_Q(m)[1][1])),
+            ShiftMultiplierOperator.zero()),
+    }
+    for name, (a, b) in operators.items():
+        check = checks[f"{name} (p=2, q=3)"]
+        assert check["status"] == "fail" and check["residual"] > 0.0
+        x, y = map(float, re.fullmatch(r"worst at \((\S+), (\S+)\)",
+                                       check["detail"]).groups())
+        assert oracle_op_equal(a, b, [(x, y)]) == check["residual"]
+    # checks without a sample point (scalar residuals) carry no detail
+    assert "detail" not in checks["symbolic consistency: p^2 = eval(q^4) "
+                                  "(s=0.3, plain)"]
+
+
+def test_passing_pq_checks_carry_no_detail(capsys):
+    import json
+
+    from qmink.cli import main
+    assert main(["check", "pq", "--p", "2", "--q", "3", "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    assert all("detail" not in c for c in checks)
