@@ -18,8 +18,7 @@ from .dsl import (BuiltinBundle, DslError, builtin, parse, parse_expression,
                   render_poly, serialize, serialize_file)
 from .ncalg import (Generator, NCPolynomial, Presentation, RewriteRule,
                     StepLimitExceeded, check_local_confluence,
-                    check_termination, complete, normalize, star,
-                    star_closure, tensor)
+                    check_termination, complete, star_closure, tensor)
 from .oplab import (PQModel, ShiftMultiplierOperator, adjoint, build_Q,
                     build_pq_pair, check_QQstar, check_def_mu2,
                     check_symbolic_consistency, check_twrs, compose, op_equal,

@@ -25,17 +25,23 @@ from .scalars import EvalOverflowError
 USAGE_ERROR = 2
 
 
+def _file_presentations(path: Path) -> dict:
+    """The algebras in scope in a .qalg file (imported ones included)."""
+    presentations = parse(path.read_text("utf-8"), filename=str(path)).presentations
+    if not presentations:
+        raise DslError(f"{path} declares no algebra")
+    return presentations
+
+
 def _resolve_presentation(file_arg: str, algebra: str | None):
     path = Path(file_arg)
     stem = path.name.removesuffix(".qalg")
     if not path.exists() and stem in BUILTIN_NAMES:
-        bundle = builtin(stem)
-        presentations = bundle.presentations
+        presentations = builtin(stem).presentations
+    elif not path.exists():
+        raise DslError(f"no such file or builtin: {file_arg}")
     else:
-        if not path.exists():
-            raise DslError(f"no such file or builtin: {file_arg}")
-        parsed = parse(path.read_text("utf-8"), filename=str(path))
-        presentations = parsed.presentations
+        presentations = _file_presentations(path)
     if algebra is not None:
         if algebra not in presentations:
             raise DslError(f"file has no algebra named {algebra!r} "
@@ -85,8 +91,7 @@ def cmd_check(args) -> int:
             path = Path(args.file)
             if not path.exists():
                 raise DslError(f"no such file: {args.file}")
-            parsed = parse(path.read_text("utf-8"), filename=str(path))
-            presentations = parsed.presentations
+            presentations = _file_presentations(path)
         elif args.algebra is not None:
             presentations = {args.algebra: _builtin_presentation(args.algebra)}
         if args.algebra is not None:

@@ -93,10 +93,6 @@ class Morphism:
                 f"{self.codomain.name})")
 
 
-def apply(m: Morphism, poly: NCPolynomial) -> NCPolynomial:
-    return m.apply(poly)
-
-
 @dataclass(frozen=True)
 class ResidualEntry:
     """One exact check: zero residual means the identity holds on the nose.

@@ -2,6 +2,8 @@
 
 A source file is a sequence of blocks:
 
+    use minkowski, lorentz;         # builtins brought into scope, see below
+
     algebra NAME {
       gen a d b c;                  # declaration order = term order
       selfadjoint x y;              # optional
@@ -22,6 +24,10 @@ formal unit q, e.g.  q^-4, 2*q, (1+i)*q^2, 1/2.  In morphism images the
 tensor legs of the codomain are separated by '@', with '1' for an empty
 leg.  Comments run from '#' to end of line.
 
+`use` names builtin files only (no file-system imports) and brings their
+star-closed algebras and validated morphisms into scope as the very objects
+`builtin()` returns; redeclaring an imported name is an error.
+
 Weight metadata: the vector (u1, v1, u2, v2, ...) lists one (u, v) pair per
 complex deformation parameter, with lambda_z g lambda_z^* = e^{u z - v zbar} g;
 the parser checks that the star partner of a weighted generator carries the
@@ -31,7 +37,7 @@ pairwise (-v, -u) vector (self-adjoint generators must be fixed by it).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -45,7 +51,7 @@ from .scalars import Scalar
 BUILTIN_NAMES = ("lorentz", "minkowski", "coaction", "classical")
 
 RESERVED = {"q", "i", "gen", "selfadjoint", "heavy", "weight", "rel",
-            "algebra", "morphism"}
+            "algebra", "morphism", "use"}
 
 
 class DslError(ValueError):
@@ -114,13 +120,15 @@ def _tokenize(text, filename):
 
 @dataclass
 class ParsedFile:
-    presentations: dict
+    presentations: dict  # every algebra in scope, imported ones included
     morphisms: dict
+    uses: list = field(default_factory=list)  # builtins named by `use`
 
 
 class _Parser:
-    def __init__(self, text, filename="<string>"):
+    def __init__(self, text, filename="<string>", star_closed=False):
         self.filename = filename
+        self.star_closed = star_closed
         self.tokens = _tokenize(text, filename)
         self.pos = 0
 
@@ -147,23 +155,44 @@ class _Parser:
     # -- file ----------------------------------------------------------------
 
     def parse_file(self) -> ParsedFile:
-        presentations, morphisms = {}, {}
+        parsed = ParsedFile({}, {})
         while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.kind == "ident" and tok.text == "algebra":
+            if tok.kind == "ident" and tok.text == "use":
+                self.parse_use(parsed)
+            elif tok.kind == "ident" and tok.text == "algebra":
                 pres = self.parse_algebra()
-                if pres.name in presentations:
-                    raise self.error(f"algebra {pres.name} declared twice", tok)
-                presentations[pres.name] = pres
+                self._declare(parsed.presentations, "algebra", pres, tok)
             elif tok.kind == "ident" and tok.text == "morphism":
-                m = self.parse_morphism(presentations)
-                if m.name in morphisms:
-                    raise self.error(f"morphism {m.name} declared twice", tok)
-                morphisms[m.name] = m
+                m = self.parse_morphism(parsed.presentations)
+                self._declare(parsed.morphisms, "morphism", m, tok)
             else:
                 raise self.error(
-                    f"expected 'algebra' or 'morphism', found {tok.text!r}")
-        return ParsedFile(presentations, morphisms)
+                    f"expected 'use', 'algebra' or 'morphism', found {tok.text!r}")
+        return parsed
+
+    def parse_use(self, parsed):
+        self.expect("ident")  # 'use'
+        while True:
+            tok = self.expect("ident", "builtin name")
+            if tok.text not in BUILTIN_NAMES:
+                raise self.error(f"unknown builtin {tok.text!r}; expected one "
+                                 f"of {', '.join(BUILTIN_NAMES)}", tok)
+            bundle = builtin(tok.text)
+            for pres in bundle.presentations.values():
+                self._declare(parsed.presentations, "algebra", pres, tok)
+            for m in bundle.morphisms.values():
+                self._declare(parsed.morphisms, "morphism", m, tok)
+            parsed.uses.append(tok.text)
+            if self.peek().kind != ",":
+                break
+            self.next()
+        self.expect(";")
+
+    def _declare(self, table, kind, obj, tok):
+        # the same builtin object may come into scope twice (use lorentz, coaction)
+        if table.setdefault(obj.name, obj) is not obj:
+            raise self.error(f"{kind} {obj.name} declared twice", tok)
 
     # -- algebra blocks --------------------------------------------------------
 
@@ -244,6 +273,11 @@ class _Parser:
             raise DslError(
                 f"rule {lhs!r} is not order-decreasing (offending word {bad!r})",
                 head.line, head.col, self.filename)
+        if self.star_closed:
+            pres = star_closure(pres)
+            if not check_termination(pres).ok:
+                raise self.error(f"star closure of {pres.name} broke the term "
+                                 "order", name_tok)
         return pres
 
     def _ident_list(self, order):
@@ -481,9 +515,10 @@ def _build_generators(order, selfadj, heavy, weights, filename, name_tok):
     return tuple(gens)
 
 
-def parse(text: str, filename: str = "<string>") -> ParsedFile:
-    """Parse a .qalg source; raises DslError with line/column on failure."""
-    return _Parser(text, filename).parse_file()
+def parse(text: str, filename: str = "<string>", star_closed=False) -> ParsedFile:
+    """Parse a .qalg source; raises DslError with line/column on failure.
+    With star_closed, each algebra is star-closed as soon as it is parsed."""
+    return _Parser(text, filename, star_closed).parse_file()
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +553,8 @@ def serialize(pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_morphism(m: Morphism, codomain_factors) -> str:
-    target = " @ ".join(codomain_factors)
+def serialize_morphism(m: Morphism) -> str:
+    target = m.codomain.name.replace("@", " @ ")
     lines = [f"morphism {m.name} : {m.domain.name} -> {target} {{"]
     for i, g in enumerate(m.domain.generators):
         if g.starred:
@@ -530,19 +565,14 @@ def serialize_morphism(m: Morphism, codomain_factors) -> str:
 
 
 def serialize_file(parsed: ParsedFile) -> str:
-    chunks = [serialize(p) for p in parsed.presentations.values()]
-    for m in parsed.morphisms.values():
-        factors = _codomain_factor_names(m, parsed.presentations)
-        chunks.append(serialize_morphism(m, factors))
+    """Canonical text: the `use` line, then the blocks declared locally."""
+    used = [builtin(name) for name in parsed.uses]
+    chunks = [f"use {', '.join(parsed.uses)};\n"] if used else []
+    chunks += [serialize(p) for p in parsed.presentations.values()
+               if not any(p.name in b.presentations for b in used)]
+    chunks += [serialize_morphism(m) for m in parsed.morphisms.values()
+               if not any(m.name in b.morphisms for b in used)]
     return "\n".join(chunks)
-
-
-def _codomain_factor_names(m: Morphism, presentations) -> list:
-    name = m.codomain.name
-    factors = name.split("@")
-    if all(f in presentations for f in factors):
-        return factors
-    raise ValueError(f"cannot resolve codomain factors of {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -569,38 +599,23 @@ def _load_source(name: str) -> str:
 
 @lru_cache(maxsize=None)
 def builtin(name: str) -> BuiltinBundle:
-    """Load a builtin file; algebras come back star-closed and termination-checked."""
+    """Load a builtin file; algebras come back star-closed and termination-checked,
+    and what it imports with `use` is shared, not closed or validated again."""
     if name not in BUILTIN_NAMES:
         raise KeyError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
-    parsed = parse(_load_source(name), filename=f"{name}.qalg")
-    closed = {}
-    for pname, pres in parsed.presentations.items():
-        cp = star_closure(pres)
-        report = check_termination(cp)
-        if not report.ok:
-            raise DslError(f"builtin {name}: star closure of {pname} broke the "
-                           f"term order", filename=f"{name}.qalg")
-        closed[pname] = cp
-    morphisms = {}
+    parsed = parse(_load_source(name), filename=f"{name}.qalg", star_closed=True)
     for mname, m in parsed.morphisms.items():
-        factors = _codomain_factor_names(m, parsed.presentations)
-        dom = closed[m.domain.name]
-        cod = tensor_many([closed[f] for f in factors])
-        # the parsed images were normalized before star closure; rebuild
-        # them against the closed codomain so they are canonical
-        unstarred = {i: img for i, img in m.images.items()
-                     if not dom.generators[i].starred}
-        morphism = Morphism.from_unstarred(mname, dom, cod, unstarred)
-        assert all(cod.normalize(img) == img for img in morphism.images.values()), \
+        if m.validated:  # imported
+            continue
+        assert all(m.codomain.normalize(img) == img for img in m.images.values()), \
             f"builtin {name}: an image of {mname} is not in normal form"
-        report = morphism.validate()
-        if not morphism.validated:
+        report = m.validate()
+        if not m.validated:
             bad = report.failures()[0]
             raise DslError(f"builtin {name}: morphism {mname} does not "
                            f"preserve {bad.label} (residual {bad.rendered})",
                            filename=f"{name}.qalg")
-        morphisms[mname] = morphism
-    return BuiltinBundle(name, closed, morphisms)
+    return BuiltinBundle(name, parsed.presentations, parsed.morphisms)
 
 
 def parse_expression(text: str, pres: Presentation) -> NCPolynomial:

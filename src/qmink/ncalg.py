@@ -405,14 +405,6 @@ class Presentation:
 # ---------------------------------------------------------------------------
 
 
-def normalize(poly: NCPolynomial, pres: Presentation, **kw) -> NCPolynomial:
-    return pres.normalize(poly, **kw)
-
-
-def star(poly: NCPolynomial, pres: Presentation) -> NCPolynomial:
-    return pres.star(poly)
-
-
 def orient(poly: NCPolynomial, pres: Presentation) -> RewriteRule:
     """Orient a nonzero polynomial relation into an order-decreasing rule.
 

@@ -138,6 +138,36 @@ def test_check_presentation_on_user_file(tmp_path, capsys):
     assert "plane: local confluence" in out
 
 
+def test_check_presentation_on_file_without_algebra_exits_2(tmp_path, capsys):
+    f = tmp_path / "empty.qalg"
+    f.write_text("# no algebra here\n")
+    code, out, err = run(capsys, "check", "presentation", "--file", str(f))
+    assert code == 2
+    assert "declares no algebra" in err
+    assert "PASS" not in out
+
+
+def test_normalize_on_file_without_algebra_exits_2(tmp_path, capsys):
+    f = tmp_path / "empty.qalg"
+    f.write_text("")
+    code, out, err = run(capsys, "normalize", str(f), "a")
+    assert code == 2
+    assert "declares no algebra" in err
+    assert out == ""
+
+
+def test_algebras_imported_with_use_are_in_the_file_scope(tmp_path, capsys):
+    f = tmp_path / "uses.qalg"
+    f.write_text("use lorentz;\n")
+    code, out, _ = run(capsys, "normalize", str(f), "d a")
+    assert code == 0
+    assert out.strip() == "1 + b c"
+    code, out, _ = run(capsys, "check", "presentation", "--file", str(f),
+                       "--samples", "20")
+    assert code == 0
+    assert "lorentz: local confluence" in out
+
+
 def test_check_presentation_single_builtin_algebra(capsys):
     code, out, _ = run(capsys, "check", "presentation", "--algebra",
                        "classical_lorentz", "--samples", "50")

@@ -312,9 +312,12 @@ def test_wrong_commutation_constants_are_caught_by_the_coaction_check():
     the verifier is sensitive to the scalars, not just the words."""
     from qmink.dsl import _load_source, parse
     from qmink.ncalg import star_closure
-    src = (_load_source("coaction")
+    coaction = _load_source("coaction")
+    src = (_load_source("minkowski")
            .replace("rel w x = q^-4 x w;", "rel w x = q^4 x w;")
-           .replace("rel w' x = q^4 x w';", "rel w' x = q^-4 x w';"))
+           .replace("rel w' x = q^4 x w';", "rel w' x = q^-4 x w';")
+           + _load_source("lorentz")
+           + coaction[coaction.index("morphism DeltaH"):])
     parsed = parse(src, "mutated.qalg")
     mink = star_closure(parsed.presentations["minkowski"])
     lor = star_closure(parsed.presentations["lorentz"])

@@ -51,11 +51,103 @@ def test_builtin_comultiplication_images():
     assert delta.images[a] == parse_expression("a@a + b@c", lor2)
 
 
-def test_builtin_files_agree_on_shared_algebras():
+def test_coaction_shares_the_standalone_builtin_objects():
+    coaction = builtin("coaction")
+    assert list(coaction.presentations) == ["minkowski", "lorentz"]
+    assert list(coaction.morphisms) == ["Delta", "DeltaH"]
     for name in ("lorentz", "minkowski"):
-        solo = builtin(name).presentation(name)
-        shared = builtin("coaction").presentation(name)
-        assert solo == shared
+        assert coaction.presentation(name) is builtin(name).presentation(name)
+    assert coaction.morphism("Delta") is builtin("lorentz").morphism("Delta")
+
+
+def test_loading_every_builtin_closes_each_algebra_and_validates_once(monkeypatch):
+    import qmink.dsl
+    from qmink.coact import Morphism
+    closed, validated = [], []
+    star_closure, validate = qmink.dsl.star_closure, Morphism.validate
+
+    def counting_closure(pres):
+        closed.append(pres.name)
+        return star_closure(pres)
+
+    def counting_validate(m):
+        validated.append((m.domain.name, m.name))
+        return validate(m)
+
+    monkeypatch.setattr(qmink.dsl, "star_closure", counting_closure)
+    monkeypatch.setattr(Morphism, "validate", counting_validate)
+    builtin.cache_clear()
+    for name in BUILTIN_NAMES:
+        builtin(name)
+    assert sorted(closed) == ["classical_lorentz", "classical_minkowski",
+                              "lorentz", "minkowski"]
+    assert sorted(validated) == [
+        ("classical_lorentz", "Delta"), ("classical_minkowski", "DeltaH"),
+        ("lorentz", "Delta"), ("minkowski", "DeltaH")]
+
+
+def test_use_brings_builtin_objects_into_scope():
+    parsed = parse("use lorentz;\n"
+                   "morphism flip : lorentz -> lorentz { a -> a; b -> b; "
+                   "c -> c; d -> d; }\n")
+    lor = builtin("lorentz")
+    assert list(parsed.presentations) == ["lorentz"]
+    assert parsed.presentations["lorentz"] is lor.presentation("lorentz")
+    assert parsed.morphisms["Delta"] is lor.morphism("Delta")
+    assert list(parsed.morphisms) == ["Delta", "flip"]
+    # the same builtin object may come into scope twice
+    assert parse("use lorentz, coaction;").presentations["lorentz"] is \
+        lor.presentation("lorentz")
+
+
+def test_use_of_unknown_builtin_is_located_at_its_token():
+    with pytest.raises(DslError) as err:
+        parse("use lorentz,\n    poincare;\n")
+    assert (err.value.line, err.value.col) == (2, 5)
+    assert "unknown builtin 'poincare'" in err.value.message
+
+
+def test_use_names_builtins_only(tmp_path):
+    (tmp_path / "mine.qalg").write_text("algebra mine { gen u; }\n")
+    with pytest.raises(DslError) as err:
+        parse("use mine;", str(tmp_path / "user.qalg"))
+    assert "unknown builtin 'mine'" in err.value.message
+
+
+def test_redeclaring_an_imported_algebra_is_a_located_error():
+    with pytest.raises(DslError) as err:
+        parse("use minkowski;\nalgebra minkowski { gen x; }\n")
+    assert err.value.line == 2
+    assert "algebra minkowski declared twice" in err.value.message
+    with pytest.raises(DslError) as err:
+        parse("algebra lorentz { gen a; }\nuse lorentz;\n")
+    assert (err.value.line, err.value.col) == (2, 5)
+    assert "algebra lorentz declared twice" in err.value.message
+
+
+def test_redeclaring_an_imported_morphism_is_a_located_error():
+    src = ("use lorentz;\n"
+           "morphism Delta : lorentz -> lorentz { a -> a; b -> b; c -> c; "
+           "d -> d; }\n")
+    with pytest.raises(DslError) as err:
+        parse(src)
+    assert err.value.line == 2
+    assert "morphism Delta declared twice" in err.value.message
+
+
+def test_use_is_a_reserved_word():
+    with pytest.raises(DslError) as err:
+        parse("algebra tiny {\n  gen a use;\n}\n")
+    assert (err.value.line, err.value.col) == (2, 9)
+    assert "invalid generator name 'use'" in err.value.message
+
+
+def test_serializer_keeps_the_use_line():
+    text = serialize_file(parse(_load_source("coaction"), "coaction.qalg"))
+    assert text.startswith("use minkowski, lorentz;\n")
+    assert "algebra" not in text
+    assert "morphism Delta " not in text
+    assert "morphism DeltaH : minkowski -> minkowski @ lorentz {" in text
 
 
 def test_every_builtin_is_confluent():
