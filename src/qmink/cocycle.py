@@ -12,7 +12,13 @@ so residuals are pure floating-point noise and the default tolerance is
 1e-12.
 
 Sampling is seeded (stdlib Mersenne Twister, stable across platforms) and
-the seed is part of every report.
+the seed is part of every report.  Each identity check takes a sequence of
+parameters and draws its samples once for all of them: the products and
+imaginary parts that do not depend on s are computed once per sample, and
+the factor -i s once per s.  Every value is the same floating-point
+expression, in the same order, as a separate pass per s would evaluate, so
+the residuals are bit-identical to it.  Each residual names the points of
+the first sample where its maximum is reached.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+
+from .reports import Residual
 
 
 @dataclass(frozen=True)
@@ -62,15 +70,6 @@ def omega(params: CocycleParams, z: complex) -> complex:
     return cmath.exp(-0.5j * params.s * (z * z).imag)
 
 
-def psi_indexed(params: CocycleParams, g: complex, gprime: complex) -> complex:
-    """The translation family: psi_g evaluated at g' is psi(g', g)."""
-    return psi(params, gprime, g)
-
-
-def psi_tilde_indexed(params: CocycleParams, g: complex, gprime: complex) -> complex:
-    return psi_tilde(params, gprime, g)
-
-
 def disk_points(rng: random.Random, n: int, radius: float):
     """n points uniformly distributed in the closed disk of the given radius."""
     pts = []
@@ -89,73 +88,143 @@ class IdentityCheck:
     seed: int
     radius: float
     max_residual: float
-    parts: tuple  # (label, residual) pairs
+    parts: tuple  # (label, Residual) pairs
 
     def passed(self, tol: float = 1e-12) -> bool:
         return self.max_residual < tol
 
 
-def check_cocycle_identity(params: CocycleParams, samples: int, seed: int,
-                           radius: float = 2.0) -> IdentityCheck:
-    """Residual of psi(a,b) psi(a+b,c) = psi(b,c) psi(a,b+c), for psi and psi~."""
+def _identity_checks(name, labels, params, factor, residuals, npoints,
+                     samples, seed, radius):
+    """One IdentityCheck per entry of params, all from one set of draws.
+
+    factor(s) gives the constants of one s (such as -1j * s), computed once.
+    Each sample draws npoints disk points once; residuals(factors, *points)
+    returns the residual of every part (labels order) for every entry of
+    factors in turn, as one flat list.  Each part keeps its maximum and the
+    points of the first sample attaining it.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and > 0, not {radius!r}")
+    params = tuple(params)
+    factors = [factor(p.s) for p in params]
     rng = random.Random(seed)
-    worst = {"psi": 0.0, "psi_tilde": 0.0}
-    for _ in range(samples):
-        a, b, c = disk_points(rng, 3, radius)
-        for label, f in (("psi", psi), ("psi_tilde", psi_tilde)):
-            lhs = f(params, a, b) * f(params, a + b, c)
-            rhs = f(params, b, c) * f(params, a, b + c)
-            worst[label] = max(worst[label], abs(lhs - rhs))
-    parts = tuple(sorted(worst.items()))
-    return IdentityCheck("cocycle-identity", params.s, samples, seed, radius,
-                         max(worst.values()), parts)
+    worst = [0.0] * (len(labels) * len(params))
+    for i in range(samples):
+        pts = disk_points(rng, npoints, radius)
+        if i == 0:
+            at = [pts] * len(worst)
+        for j, r in enumerate(residuals(factors, *pts)):
+            if r > worst[j]:  # as max(worst, r), so the first maximal sample
+                worst[j], at[j] = r, pts
+    checks = []
+    for k, p in enumerate(params):
+        part = slice(k * len(labels), (k + 1) * len(labels))
+        checks.append(IdentityCheck(
+            name, p.s, samples, seed, radius, max(worst[part]),
+            tuple(sorted((label, Residual(r, tuple(pt))) for label, r, pt
+                         in zip(labels, worst[part], at[part])))))
+    return checks
 
 
-def check_sumup(params: CocycleParams, samples: int, seed: int,
-                radius: float = 2.0) -> IdentityCheck:
+def _cocycle_residuals(ks, a, b, c):
+    """psi(a,b) psi(a+b,c) - psi(b,c) psi(a,b+c), then the same for psi~."""
+    ab, bc = a + b, b + c
+    na, nb, nc = -a, -b, -c
+    i1 = (a * b.conjugate()).imag
+    i2 = (ab * c.conjugate()).imag
+    i3 = (b * c.conjugate()).imag
+    i4 = (a * bc.conjugate()).imag
+    t1 = (na * nb.conjugate()).imag
+    t2 = ((-ab) * nc.conjugate()).imag
+    t3 = (nb * nc.conjugate()).imag
+    t4 = (na * (-bc).conjugate()).imag
+    exp = cmath.exp
+    out = []
+    for k in ks:
+        lhs = exp(k * i1) * exp(k * i2)
+        rhs = exp(k * i3) * exp(k * i4)
+        lhs_t = exp(k * t1).conjugate() * exp(k * t2).conjugate()
+        rhs_t = exp(k * t3).conjugate() * exp(k * t4).conjugate()
+        out.append(abs(lhs - rhs))
+        out.append(abs(lhs_t - rhs_t))
+    return out
+
+
+def check_cocycle_identity(params, samples: int, seed: int,
+                           radius: float = 2.0) -> list:
+    """Residual of psi(a,b) psi(a+b,c) = psi(b,c) psi(a,b+c), for psi and psi~.
+
+    params is a sequence of CocycleParams; the result has one IdentityCheck
+    per entry, each evaluated on the same seeded triples (a, b, c).
+    """
+    return _identity_checks("cocycle-identity", ("psi", "psi_tilde"), params,
+                            lambda s: -1j * s, _cocycle_residuals,
+                            3, samples, seed, radius)
+
+
+def _sumup_residuals(ks, x, y, u, v):
+    """The sumup identity's two sides, factor by factor as in check_sumup."""
+    z1, z2 = x + u, y + v
+    nxy, nv = -x - y, -v
+    i1 = (z1 * (-z1 - z2).conjugate()).imag
+    i2 = (x * nxy.conjugate()).imag
+    i3 = (x * u.conjugate()).imag
+    i4 = ((-y) * nv.conjugate()).imag
+    i5 = (nxy * nv.conjugate()).imag
+    i6 = (u * nxy.conjugate()).imag
+    i7 = (u * v.conjugate()).imag
+    exp = cmath.exp
+    return [abs(exp(k * i1).conjugate()
+                - exp(k * i2).conjugate() * exp(k * i3) * exp(k * i4).conjugate()
+                * exp(k * i5) * exp(k * i6).conjugate() * exp(k * i7))
+            for k in ks]
+
+
+def check_sumup(params, samples: int, seed: int, radius: float = 2.0) -> list:
     """Residual of the translation identity for psi*:
 
         psi*(x+u, y+v) = psi*(x,y) psi_u(x) psi~_v(y)
-                         psi(-x-y, -v) conj(psi(u, -x-y)) psi(u, v).
+                         psi(-x-y, -v) conj(psi(u, -x-y)) psi(u, v),
+
+    where the translation families are psi_u(x) = psi(x, u) and
+    psi~_v(y) = psi~(y, v).
 
     The trailing constant factor psi(u, v) is forced: at x = y = 0 the left
     side is psi*(u, v) = psi(u, v) while every non-constant factor on the
     right is 1.  Without it the identity only holds up to a central
     constant, which is invisible to the twisting argument it supports but
     not to a pointwise check.
+
+    params is a sequence of CocycleParams; the result has one IdentityCheck
+    per entry, each evaluated on the same seeded points (x, y, u, v).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x, y, u, v = disk_points(rng, 4, radius)
-        lhs = psi_star(params, x + u, y + v)
-        rhs = (psi_star(params, x, y)
-               * psi_indexed(params, u, x)
-               * psi_tilde_indexed(params, v, y)
-               * psi(params, -x - y, -v)
-               * psi(params, u, -x - y).conjugate()
-               * psi(params, u, v))
-        worst = max(worst, abs(lhs - rhs))
-    return IdentityCheck("sumup", params.s, samples, seed, radius, worst,
-                         (("sumup", worst),))
+    return _identity_checks("sumup", ("sumup",), params,
+                            lambda s: -1j * s, _sumup_residuals,
+                            4, samples, seed, radius)
 
 
-def check_omega_identity(params: CocycleParams, samples: int, seed: int,
-                         radius: float = 2.0) -> IdentityCheck:
-    """Residual of omega(z+w) = omega(z) omega(w) exp(-i s Im(z w))."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
-    worst = 0.0
-    for _ in range(samples):
-        z, w = disk_points(rng, 2, radius)
-        lhs = omega(params, z + w)
-        rhs = omega(params, z) * omega(params, w) \
-            * cmath.exp(-1j * params.s * (z * w).imag)
-        worst = max(worst, abs(lhs - rhs))
-    return IdentityCheck("omega-identity", params.s, samples, seed, radius,
-                         worst, (("omega", worst),))
+def _omega_residuals(factors, z, w):
+    """omega(z+w) - omega(z) omega(w) exp(-i s Im(z w))."""
+    zw = z + w
+    i1 = (zw * zw).imag
+    i2 = (z * z).imag
+    i3 = (w * w).imag
+    i4 = (z * w).imag
+    exp = cmath.exp
+    return [abs(exp(h * i1) - exp(h * i2) * exp(h * i3) * exp(k * i4))
+            for h, k in factors]
+
+
+def check_omega_identity(params, samples: int, seed: int,
+                         radius: float = 2.0) -> list:
+    """Residual of omega(z+w) = omega(z) omega(w) exp(-i s Im(z w)).
+
+    params is a sequence of CocycleParams; the result has one IdentityCheck
+    per entry, each evaluated on the same seeded pairs (z, w).
+    """
+    return _identity_checks("omega-identity", ("omega",), params,
+                            lambda s: (-0.5j * s, -1j * s),
+                            _omega_residuals, 2, samples, seed, radius)

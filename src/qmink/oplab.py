@@ -21,10 +21,17 @@ a box, scaled by max(1, |value|) so the 1e-12 tolerance is meaningful for
 multipliers as large as e^8 * pq on the default [-4,4]^2 box.
 
 Evaluation is column-wise: a multiplier maps the column of sample points to
-a column of values, node by node, with a memo that lives for one comparison
-(`op_equal`, `op_norm_sample`) and holds one column per distinct subtree.
-Every value is computed with the same floating-point operations, in the same
-order, as a point-by-point walk of the tree would use.
+a column of values, node by node, with a memo that holds one column per
+distinct subtree.  Alone, a comparison (`op_equal`, `op_norm_sample`) draws
+its points and fills its memo for itself.  Inside a `shared_samples` block,
+which the pq suite enters once per model, every comparison with the same
+(samples, seed, box) shares one set of sample columns and one memo, so the
+subtrees common to a model's checks are evaluated once; both go when the
+block ends.  Every value is computed with the same floating-point
+operations, in the same order, as a point-by-point walk of the tree would
+use; equal constants such as 1.0 and 1+0j may share a column, which can
+change only the sign of a zero.  So sharing leaves every residual
+bit-identical.
 """
 
 from __future__ import annotations
@@ -32,10 +39,12 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import prod
 from operator import attrgetter
 
+from .reports import Residual
 from .scalars import Scalar
 
 DEFAULT_BOX = 4.0
@@ -59,11 +68,12 @@ class MultiplierExpr:
     column of values, filling a memo that maps each distinct subtree to its
     column, so a subtree that occurs many times (or is rebuilt along another
     route) is evaluated once per memo.  A one-point call `f(x, y)` is the
-    column evaluator on a single point.
+    column evaluator on a single point, with a memo that shares only
+    identical nodes, so it gives exactly what a point-by-point walk gives.
     """
 
     def __call__(self, x: float, y: float) -> complex:
-        return self.column((x,), (y,), {})[0]
+        return self.column((x,), (y,), _IdentityMemo())[0]
 
     def column(self, xs, ys, memo: dict) -> list:
         col = memo.get(self)
@@ -89,6 +99,22 @@ class MultiplierExpr:
 
     def is_zero_literal(self) -> bool:
         return isinstance(self, Const) and self.value == 0
+
+
+class _IdentityMemo(dict):
+    """A column memo keyed by node identity instead of equality.
+
+    Equal nodes can hold constants of different types or zero signs, such
+    as -1.5 and complex(-1.5, -0.0).  Their values agree, up to the sign of
+    a zero, so residuals do not depend on which one a shared memo holds;
+    but the value named in an error message does.
+    """
+
+    def get(self, node):
+        return super().get(id(node))
+
+    def __setitem__(self, node, col):
+        super().__setitem__(id(node), col)
 
 
 @dataclass(frozen=True)
@@ -389,16 +415,46 @@ def build_pq_pair(p: float, q: float) -> PQModel:
 # ---------------------------------------------------------------------------
 
 
+# (samples, seed, box) -> (xs, ys, memo) inside a `shared_samples` block;
+# None outside one.  The suites run in one thread.
+_scope = None
+
+
+@contextmanager
+def shared_samples():
+    """A block whose comparisons share sample columns and column memos.
+
+    Inside it, every `op_equal` and `op_norm_sample` with the same
+    (samples, seed, box) draws its points once and fills one memo, so a
+    subtree common to several comparisons is evaluated once.  Both are
+    dropped when the block ends; a nested block starts afresh.
+    """
+    global _scope
+    outer, _scope = _scope, {}
+    try:
+        yield
+    finally:
+        _scope = outer
+
+
 def _sample_columns(samples, seed, box):
-    """Seeded sample points in the box, as the columns (xs, ys)."""
+    """Seeded sample points in the box, as the columns (xs, ys), and the
+    column memo that goes with them (shared inside `shared_samples`)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    scope = _scope
+    key = (samples, seed, box)
+    if scope is not None and key in scope:
+        return scope[key]
     rng = random.Random(seed)
     xs, ys = [], []
     for _ in range(samples):
         xs.append(rng.uniform(-box, box))
         ys.append(rng.uniform(-box, box))
-    return xs, ys
+    columns = xs, ys, {}
+    if scope is not None:
+        scope[key] = columns
+    return columns
 
 
 def _columns(exprs, xs, ys, memo):
@@ -449,21 +505,6 @@ def _match_buckets(a, b, shift_tol):
     return pairs, unmatched_a, unmatched_b
 
 
-class Residual(float):
-    """An `op_equal` residual that also names its sample point.
-
-    `at` is the first sample (x, y) where the residual attains its maximum,
-    so evaluating both operators there reproduces it.
-    """
-
-    __slots__ = ("at",)
-
-    def __new__(cls, value: float, at: tuple):
-        self = super().__new__(cls, value)
-        self.at = at
-        return self
-
-
 def op_equal(a: ShiftMultiplierOperator, b: ShiftMultiplierOperator, *,
              samples: int = 1000, seed: int = 0, box: float = DEFAULT_BOX,
              shift_tol: float = DEFAULT_SHIFT_TOL) -> Residual:
@@ -473,11 +514,11 @@ def op_equal(a: ShiftMultiplierOperator, b: ShiftMultiplierOperator, *,
     compared pointwise over seeded samples with the residual
     |f_a - f_b| / max(1, |f_a|, |f_b|); an unmatched bucket contributes its
     own scaled magnitude.  Multipliers are evaluated column-wise with one
-    memo for the whole comparison.
+    memo for the whole comparison, or for the enclosing `shared_samples`
+    block.
     """
-    xs, ys = _sample_columns(samples, seed, box)
+    xs, ys, memo = _sample_columns(samples, seed, box)
     pairs, only_a, only_b = _match_buckets(a, b, shift_tol)
-    memo = {}
     best = (0.0, 0)
     for va, vb in pairs:
         cu, cv = _columns((a.atoms[va], b.atoms[vb]), xs, ys, memo)
@@ -494,8 +535,7 @@ def op_equal(a: ShiftMultiplierOperator, b: ShiftMultiplierOperator, *,
 def op_norm_sample(a: ShiftMultiplierOperator, *, samples=1000, seed=0,
                    box=DEFAULT_BOX) -> float:
     """Max multiplier magnitude over sample points (0 for the zero operator)."""
-    xs, ys = _sample_columns(samples, seed, box)
-    memo = {}
+    xs, ys, memo = _sample_columns(samples, seed, box)
     worst = 0.0
     for f in a.atoms.values():
         (col,) = _columns((f,), xs, ys, memo)

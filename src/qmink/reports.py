@@ -14,6 +14,26 @@ from typing import Optional
 SCHEMA_VERSION = "1"
 
 
+class Residual(float):
+    """A sampled residual that also names its sample point.
+
+    `at` is the first sample where the residual attains its maximum: the
+    point (x, y) of an operator comparison, or the disk points of a cocycle
+    identity in the order its formula names them.  Evaluating both sides
+    there reproduces the residual.
+    """
+
+    __slots__ = ("at",)
+
+    def __new__(cls, value: float, at: tuple):
+        self = super().__new__(cls, value)
+        self.at = at
+        return self
+
+    def detail(self) -> str:
+        return f"worst at ({', '.join(map(repr, self.at))})"
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str

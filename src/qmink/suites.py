@@ -14,7 +14,7 @@ from . import cocycle as cc
 from . import coact, oplab
 from .dsl import builtin
 from .ncalg import NCPolynomial, check_local_confluence, check_termination
-from .reports import CheckResult, ReportBundle, SuiteReport
+from .reports import CheckResult, ReportBundle, Residual, SuiteReport
 
 ACCEPTANCE_S_VALUES = (0.3, 0.7, 1.1)
 ACCEPTANCE_PQ_PAIRS = ((1.0, 1.0), (2.0, 3.0), (0.5, math.e))
@@ -122,18 +122,31 @@ def run_coaction_suite() -> SuiteReport:
                        None, checks)
 
 
+def _residual_check(name, residual, tol) -> CheckResult:
+    """A numeric CheckResult; a failing sampled residual names the sample
+    point of its worst value, so it can be replayed."""
+    passed = residual < tol
+    detail = None
+    if not passed and isinstance(residual, Residual):
+        detail = residual.detail()
+    return CheckResult(name, passed, residual=float(residual), detail=detail)
+
+
 def run_cocycle_suite(s_values=ACCEPTANCE_S_VALUES, samples: int = 10000,
                       seed: int = 0, tol: float = DEFAULT_TOL,
                       radius: float = 2.0) -> SuiteReport:
+    """The three cocycle identities for every s; each identity draws its
+    samples once for all s values."""
+    params = [cc.CocycleParams(s) for s in s_values]
+    per_identity = [check(params, samples, seed, radius)
+                    for check in (cc.check_cocycle_identity, cc.check_sumup,
+                                  cc.check_omega_identity)]
     checks = []
-    for s in s_values:
-        params = cc.CocycleParams(s)
-        for result in (cc.check_cocycle_identity(params, samples, seed, radius),
-                       cc.check_sumup(params, samples, seed, radius),
-                       cc.check_omega_identity(params, samples, seed, radius)):
+    for s, results in zip(s_values, zip(*per_identity)):
+        for result in results:
             for part, residual in result.parts:
-                checks.append(CheckResult(f"{result.name}[{part}] (s={s})",
-                                          residual < tol, residual=residual))
+                checks.append(_residual_check(
+                    f"{result.name}[{part}] (s={s})", residual, tol))
     return SuiteReport("cocycle",
                        {"s_values": list(s_values), "samples": samples,
                         "radius": radius, "tol": tol},
@@ -141,40 +154,45 @@ def run_cocycle_suite(s_values=ACCEPTANCE_S_VALUES, samples: int = 10000,
 
 
 def _numeric_checks(prefix, label, residuals, tol):
-    """One CheckResult per oplab residual; a failing `op_equal` residual
-    names the sample point of its worst value, so it can be replayed."""
+    """One CheckResult per oplab residual."""
     for ident, residual in residuals:
-        passed = residual < tol
-        detail = None
-        if not passed and isinstance(residual, oplab.Residual):
-            x, y = residual.at
-            detail = f"worst at ({x!r}, {y!r})"
-        yield CheckResult(f"{prefix}: {ident} ({label})", passed,
-                          residual=float(residual), detail=detail)
+        yield _residual_check(f"{prefix}: {ident} ({label})", residual, tol)
 
 
 def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
                  tol: float = DEFAULT_TOL, convention: str = "plain",
                  s_values=ACCEPTANCE_S_VALUES, box: float = 4.0) -> SuiteReport:
+    """The (p,q) model identities per pair, then the symbolic bridge per s.
+
+    The checks of one model share sample columns and a column memo
+    (`oplab.shared_samples`), which end with that model's block.  A pair
+    outside double-precision range is a usage error naming p and q.
+    """
     checks = []
     for p, q in pairs:
-        model = oplab.build_pq_pair(p, q)
         label = f"p={p:g}, q={q:g}"
-        for result in (oplab.check_def_mu2(model, samples, seed, box),
-                       oplab.check_QQstar(model, samples, seed, box),
-                       oplab.check_twrs(model, samples, seed, box)):
-            checks.extend(_numeric_checks(result.name, label,
-                                          result.residuals, tol))
-        contraction = max(
-            oplab.op_norm_sample(oplab.z_transform(model.R), samples=samples,
-                                 seed=seed, box=box),
-            oplab.op_norm_sample(oplab.z_transform(model.S), samples=samples,
-                                 seed=seed, box=box))
+        try:
+            with oplab.shared_samples():
+                model = oplab.build_pq_pair(p, q)
+                for result in (oplab.check_def_mu2(model, samples, seed, box),
+                               oplab.check_QQstar(model, samples, seed, box),
+                               oplab.check_twrs(model, samples, seed, box)):
+                    checks.extend(_numeric_checks(result.name, label,
+                                                  result.residuals, tol))
+                contraction = max(
+                    oplab.op_norm_sample(oplab.z_transform(model.R),
+                                         samples=samples, seed=seed, box=box),
+                    oplab.op_norm_sample(oplab.z_transform(model.S),
+                                         samples=samples, seed=seed, box=box))
+        except OverflowError as exc:
+            raise ValueError(f"p={p!r}, q={q!r} is outside the model's "
+                             f"double-precision range ({exc})") from None
         checks.append(CheckResult(f"z-transform contraction ({label})",
                                   contraction < 1.0, residual=contraction))
     for s in s_values:
-        result = oplab.check_symbolic_consistency(
-            s, convention=convention, samples=samples, seed=seed, box=box)
+        with oplab.shared_samples():
+            result = oplab.check_symbolic_consistency(
+                s, convention=convention, samples=samples, seed=seed, box=box)
         checks.extend(_numeric_checks("symbolic consistency",
                                       f"s={s}, {convention}",
                                       result.residuals, tol))

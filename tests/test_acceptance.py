@@ -79,9 +79,9 @@ def test_criterion_5_cocycle_identities():
     ok = True
     for s in S_VALUES:
         params = cc.CocycleParams(s)
-        for result in (cc.check_cocycle_identity(params, 10000, 1, radius=2.0),
-                       cc.check_sumup(params, 10000, 1, radius=2.0),
-                       cc.check_omega_identity(params, 10000, 1, radius=2.0)):
+        for (result,) in (cc.check_cocycle_identity([params], 10000, 1, radius=2.0),
+                          cc.check_sumup([params], 10000, 1, radius=2.0),
+                          cc.check_omega_identity([params], 10000, 1, radius=2.0)):
             ok &= result.max_residual < TOL
     _report("5 cocycle-identities (2-cocycle, psi* translation, omega; "
             "1e-12 over 10^4 samples)", ok)

@@ -203,3 +203,24 @@ def test_samples_default_per_suite(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["reports"][0]["inputs"]["samples"] == 1000
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1"])
+def test_cocycle_radius_must_be_finite_and_positive(capsys, radius):
+    code, out, err = run(capsys, "check", "cocycle", "--radius", radius,
+                         "--samples", "10", "--format", "json")
+    assert code == 2
+    assert "radius must be finite and > 0" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("p", ["1e100", "1e-160"])
+def test_pq_parameters_outside_double_range_exit_2(capsys, p):
+    code, out, err = run(capsys, "check", "pq", "--p", p, "--q", p,
+                         "--samples", "10")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    value = repr(float(p))
+    assert f"p={value}, q={value}" in line

@@ -1,7 +1,10 @@
 """Cocycle numerics: definitional values, unimodularity, the three identities."""
 
 import cmath
+import json
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -87,12 +90,12 @@ def test_psi_is_a_bicharacter_in_the_first_slot(z1, z1p, z2):
 
 
 def test_cocycle_identity_without_deformation_is_exact():
-    result = check_cocycle_identity(CocycleParams(0.0), 100, 3)
+    (result,) = check_cocycle_identity([CocycleParams(0.0)], 100, 3)
     assert result.max_residual == 0.0
 
 
 def test_cocycle_identity_at_scale():
-    result = check_cocycle_identity(CocycleParams(0.7), 10000, 1)
+    (result,) = check_cocycle_identity([CocycleParams(0.7)], 10000, 1)
     assert result.max_residual < 1e-12
     assert dict(result.parts).keys() == {"psi", "psi_tilde"}
 
@@ -117,11 +120,11 @@ def test_sumup_with_zero_translation_is_exact():
 
 
 def test_sumup_without_deformation_is_exact():
-    assert check_sumup(CocycleParams(0.0), 200, 2).max_residual == 0.0
+    assert check_sumup([CocycleParams(0.0)], 200, 2)[0].max_residual == 0.0
 
 
 def test_sumup_at_scale():
-    assert check_sumup(CocycleParams(0.3), 10000, 1).max_residual < 1e-12
+    assert check_sumup([CocycleParams(0.3)], 10000, 1)[0].max_residual < 1e-12
 
 
 def test_sumup_requires_the_constant_factor():
@@ -150,29 +153,30 @@ def test_omega_identity_trivial_cases():
 
 
 def test_omega_identity_at_scale():
-    assert check_omega_identity(CocycleParams(1.1), 10000, 1).max_residual < 1e-12
+    assert check_omega_identity([CocycleParams(1.1)], 10000, 1)[0].max_residual \
+        < 1e-12
 
 
 def test_checks_are_deterministic_for_a_seed():
-    a = check_sumup(CocycleParams(0.3), 500, 42)
-    b = check_sumup(CocycleParams(0.3), 500, 42)
+    (a,) = check_sumup([CocycleParams(0.3)], 500, 42)
+    (b,) = check_sumup([CocycleParams(0.3)], 500, 42)
     assert a.max_residual == b.max_residual
-    c = check_sumup(CocycleParams(0.3), 500, 43)
+    (c,) = check_sumup([CocycleParams(0.3)], 500, 43)
     assert c.max_residual != a.max_residual  # overwhelmingly likely
 
 
 def test_sample_count_must_be_positive():
     with pytest.raises(ValueError):
-        check_sumup(S, 0, 1)
+        check_sumup([S], 0, 1)
 
 
 def test_identity_residuals_across_the_parameter_range():
     # the invariants hold on |s| <= 2 with radius-2 samples
     for s in (-2.0, -0.5, 2.0):
         params = CocycleParams(s)
-        assert check_cocycle_identity(params, 2000, 9).max_residual < 1e-12
-        assert check_sumup(params, 2000, 9).max_residual < 1e-12
-        assert check_omega_identity(params, 2000, 9).max_residual < 1e-12
+        assert check_cocycle_identity([params], 2000, 9)[0].max_residual < 1e-12
+        assert check_sumup([params], 2000, 9)[0].max_residual < 1e-12
+        assert check_omega_identity([params], 2000, 9)[0].max_residual < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -182,3 +186,152 @@ def test_dual_pairing_is_a_symmetric_bicharacter(z, w1, w2):
     assert abs(dual_pairing(z, w1 + w2)
                - dual_pairing(z, w1) * dual_pairing(z, w2)) < 1e-13
     assert dual_pairing(z, w1) == dual_pairing(w1, z)
+
+
+# -- all s values on one set of draws, against the per-s oracle ---------------
+#
+# The oracle below is the original loop: one pass over fresh draws per s and
+# per identity, with its own sampler and cocycle formulas.  It shares no code
+# with qmink.
+
+
+def oracle_disk(rng, n, radius):
+    pts = []
+    for _ in range(n):
+        r = radius * math.sqrt(rng.random())
+        theta = 2.0 * math.pi * rng.random()
+        pts.append(cmath.rect(r, theta))
+    return pts
+
+
+def o_psi(s, z1, z2):
+    return cmath.exp(-1j * s * (z1 * z2.conjugate()).imag)
+
+
+def o_psi_tilde(s, z1, z2):
+    return o_psi(s, -z1, -z2).conjugate()
+
+
+def o_psi_star(s, z1, z2):
+    return o_psi(s, z1, -z1 - z2).conjugate()
+
+
+def o_omega(s, z):
+    return cmath.exp(-0.5j * s * (z * z).imag)
+
+
+def o_cocycle(s, f, a, b, c):
+    return abs(f(s, a, b) * f(s, a + b, c) - f(s, b, c) * f(s, a, b + c))
+
+
+def o_sumup(s, x, y, u, v):
+    lhs = o_psi_star(s, x + u, y + v)
+    rhs = (o_psi_star(s, x, y) * o_psi(s, x, u) * o_psi_tilde(s, y, v)
+           * o_psi(s, -x - y, -v) * o_psi(s, u, -x - y).conjugate()
+           * o_psi(s, u, v))
+    return abs(lhs - rhs)
+
+
+def o_omega_identity(s, z, w):
+    return abs(o_omega(s, z + w) - o_omega(s, z) * o_omega(s, w)
+               * cmath.exp(-1j * s * (z * w).imag))
+
+
+ORACLE_PARTS = {
+    "cocycle-identity": (3, {"psi": lambda s, *p: o_cocycle(s, o_psi, *p),
+                             "psi_tilde": lambda s, *p: o_cocycle(
+                                 s, o_psi_tilde, *p)}),
+    "sumup": (4, {"sumup": o_sumup}),
+    "omega-identity": (2, {"omega": o_omega_identity}),
+}
+
+
+def oracle_check(name, s, samples, seed, radius=2.0):
+    """{part: (max residual, points of the first sample attaining it)}."""
+    npoints, parts = ORACLE_PARTS[name]
+    rng = random.Random(seed)
+    worst = {}
+    for k in range(samples):
+        pts = tuple(oracle_disk(rng, npoints, radius))
+        for label, f in parts.items():
+            r = f(s, *pts)
+            w, at = worst.get(label, (0.0, pts))
+            worst[label] = (max(w, r), pts if r > w else at)
+    return worst
+
+
+S_LIST = (0.0, 0.3, -0.3, 1.1)
+CHECKS = (check_cocycle_identity, check_sumup, check_omega_identity)
+
+
+@pytest.mark.parametrize("samples", [1, 7, 500])
+@pytest.mark.parametrize("seed", [0, 5, 42])
+def test_shared_draws_match_the_per_s_oracle(samples, seed):
+    params = [CocycleParams(s) for s in S_LIST]
+    for check in CHECKS:
+        results = check(params, samples, seed)
+        assert [r.s for r in results] == list(S_LIST)
+        for s, result in zip(S_LIST, results):
+            assert (result.samples, result.seed, result.radius) == \
+                (samples, seed, 2.0)
+            want = oracle_check(result.name, s, samples, seed)
+            got = dict(result.parts)
+            assert list(got) == sorted(want)
+            for label, (value, at) in want.items():
+                assert got[label] == value
+                assert got[label].at == at
+            assert result.max_residual == max(v for v, _ in want.values())
+            if s == 0.0:
+                assert result.max_residual == 0.0
+
+
+def test_shared_draws_match_the_oracle_on_another_radius():
+    params = [CocycleParams(s) for s in (0.7, -2.0)]
+    for check in CHECKS:
+        for s, result in zip((0.7, -2.0), check(params, 50, 9, radius=0.5)):
+            want = oracle_check(result.name, s, 50, 9, radius=0.5)
+            assert {k: (v, v.at) for k, v in result.parts} == want
+
+
+def test_checks_give_one_result_per_parameter_in_order():
+    params = [CocycleParams(1.1), CocycleParams(0.3), CocycleParams(1.1)]
+    for check in CHECKS:
+        results = check(params, 20, 3)
+        assert [r.s for r in results] == [1.1, 0.3, 1.1]
+        assert results[0] == results[2]
+        assert check([], 20, 3) == []
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_radius_must_be_finite_and_positive(radius):
+    for check in CHECKS:
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            check([S], 10, 1, radius=radius)
+
+
+def test_failing_cocycle_check_names_a_replayable_worst_sample(capsys):
+    from qmink.cli import main
+    assert main(["check", "cocycle", "--tol", "1e-30", "--samples", "300",
+                 "--seed", "4", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    assert len(checks) == 12
+    replay = {"cocycle-identity[psi]": lambda s, a, b, c: o_cocycle(
+                  s, o_psi, a, b, c),
+              "cocycle-identity[psi_tilde]": lambda s, a, b, c: o_cocycle(
+                  s, o_psi_tilde, a, b, c),
+              "sumup[sumup]": o_sumup,
+              "omega-identity[omega]": o_omega_identity}
+    for check in checks:
+        name, s = re.fullmatch(r"(\S+) \(s=(\S+)\)", check["name"]).groups()
+        assert check["status"] == "fail"
+        inner = re.fullmatch(r"worst at \((.*)\)", check["detail"]).group(1)
+        points = [complex(t) for t in inner.split(", ")]
+        assert replay[name](float(s), *points) == check["residual"]
+
+
+def test_passing_cocycle_checks_carry_no_detail(capsys):
+    from qmink.cli import main
+    assert main(["check", "cocycle", "--samples", "300", "--format",
+                 "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    assert all("detail" not in c for c in checks)

@@ -13,7 +13,7 @@ from qmink.oplab import (Add, Const, Div, ExpLin, Mul, PositivityError,
                          build_pq_pair, check_QQstar, check_def_mu2,
                          check_symbolic_consistency, check_twrs, compose,
                          gaussian_bump, op_equal, op_norm_sample,
-                         pq_from_pair_label, z_transform)
+                         pq_from_pair_label, shared_samples, z_transform)
 
 PAIRS = ((1.0, 1.0), (2.0, 3.0), (0.5, math.e))
 
@@ -383,12 +383,15 @@ def test_column_values_match_oracle_on_every_pq_suite_operator(monkeypatch):
     seen = []
     equal, norm = oplab.op_equal, oplab.op_norm_sample
 
+    def scope():  # held in seen, so scopes of different blocks stay distinct
+        return oplab._scope
+
     def record_equal(a, b, **kw):
-        seen.append((a, b, kw))
+        seen.append((a, b, kw, scope()))
         return equal(a, b, **kw)
 
     def record_norm(a, **kw):
-        seen.append((a, ShiftMultiplierOperator.zero(), kw))
+        seen.append((a, ShiftMultiplierOperator.zero(), kw, scope()))
         return norm(a, **kw)
 
     monkeypatch.setattr(oplab, "op_equal", record_equal)
@@ -396,17 +399,20 @@ def test_column_values_match_oracle_on_every_pq_suite_operator(monkeypatch):
     run_pq_suite(samples=150, seed=7)
     monkeypatch.undo()
     assert len(seen) > 40
-    for a, b, kw in seen:
+    shared = {}  # one memo per model block and sample set, as the suite uses
+    for a, b, kw, model in seen:
         pts = oracle_points(kw["samples"], kw["seed"], kw.get("box", 4.0))
         xs, ys = [x for x, _ in pts], [y for _, y in pts]
-        memo = {}  # one memo per comparison, as op_equal uses
+        memo = {}  # one memo per comparison, as op_equal uses alone
+        model_memo = shared.setdefault((id(model), kw["samples"]), {})
         for f in list(a.atoms.values()) + list(b.atoms.values()):
-            col = f.column(xs, ys, memo)
             want = [oracle_eval(f, x, y) for x, y in pts]
             # bit-for-bit, signed zeros included
-            assert [repr(complex(u)) for u in col] == \
-                [repr(complex(v)) for v in want]
+            for m in (memo, model_memo):
+                assert [repr(complex(u)) for u in f.column(xs, ys, m)] == \
+                    [repr(complex(v)) for v in want]
         assert op_equal(a, b, **kw) == oracle_op_equal(a, b, pts)
+    assert len({id(model) for *_, model in seen}) == 6  # 3 pairs, 3 s values
 
 
 _LEAVES = st.one_of(
@@ -499,6 +505,21 @@ def test_sqrt_positivity_error_names_the_first_failing_point():
     assert oracle_outcome(lambda: op_norm_sample(op, samples=50, seed=2)) == want
 
 
+def test_positivity_error_names_the_walks_value_for_equal_nodes():
+    # Const(-1.5) and its conjugate Const(complex(-1.5, -0.0)) are equal
+    # nodes and share a memo entry; the error must still name the value
+    # (-1.5+0j) that a point-by-point walk meets.
+    neg = Const(-1.5)
+    f = Add(Sqrt(Add(Const(1 + 0j), Mul(neg, neg.conj()))), Sqrt(neg))
+    op = ShiftMultiplierOperator.multiplier(f)
+    pts = oracle_points(12, 0)
+    want = oracle_outcome(lambda: oracle_op_equal(op, op, pts))
+    assert want[0] is PositivityError and "(-1.5+0j)" in want[1]
+    assert oracle_outcome(lambda: op_equal(op, op, samples=12, seed=0)) == want
+    assert oracle_outcome(lambda: f(0.5, 0.5)) == \
+        oracle_outcome(lambda: oracle_eval(f, 0.5, 0.5))
+
+
 def test_positivity_error_follows_the_point_order_across_nodes():
     # The first Sqrt fails only where x > 3.5, the second where y > 3.0; with
     # seed 0 the second fails first (point 8, against point 31), and the
@@ -578,3 +599,64 @@ def test_passing_pq_checks_carry_no_detail(capsys):
     assert main(["check", "pq", "--p", "2", "--q", "3", "--format", "json"]) == 0
     checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
     assert all("detail" not in c for c in checks)
+
+
+# -- one set of sample columns and one memo per model ----------------------------
+
+
+def model_residuals(p, q, samples, seed):
+    """Every residual the pq suite takes of one model, with their points."""
+    m = build_pq_pair(p, q)
+    out = []
+    for check in (check_def_mu2, check_QQstar, check_twrs):
+        out.extend(check(m, samples, seed).residuals)
+    out.extend(("contraction", op_norm_sample(z_transform(op), samples=samples,
+                                              seed=seed)) for op in (m.R, m.S))
+    return [(label, r, getattr(r, "at", None)) for label, r in out]
+
+
+def test_model_scope_gives_the_per_call_residuals():
+    rng = random.Random(2024)
+    pairs = PAIRS + tuple((rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0))
+                          for _ in range(2))
+    for p, q in pairs:
+        alone = model_residuals(p, q, 300, 6)
+        with shared_samples():
+            scoped = model_residuals(p, q, 300, 6)
+        assert scoped == alone
+        if p == q == 1.0:
+            named = {label: r for label, r, _ in scoped}
+            assert named["(QQ*)_12 = 0"] == named["(QQ*)_21 = 0"] == 0.0
+    for s in (0.3, 0.7, 1.1):
+        alone = check_symbolic_consistency(s, samples=300, seed=6)
+        with shared_samples():
+            scoped = check_symbolic_consistency(s, samples=300, seed=6)
+        assert scoped == alone
+        assert [getattr(r, "at", None) for _, r in scoped.residuals] == \
+            [getattr(r, "at", None) for _, r in alone.residuals]
+
+
+def test_model_scope_shares_columns_per_sample_set_only():
+    import qmink.oplab as oplab
+    with shared_samples():
+        first = oplab._sample_columns(50, 1, 4.0)
+        assert oplab._sample_columns(50, 1, 4.0) is first
+        assert oplab._sample_columns(50, 2, 4.0) is not first
+        assert oplab._sample_columns(60, 1, 4.0) is not first
+        assert oplab._sample_columns(50, 1, 3.0) is not first
+        with shared_samples():
+            assert oplab._sample_columns(50, 1, 4.0) is not first
+        assert oplab._sample_columns(50, 1, 4.0) is first
+    assert oplab._scope is None
+    assert oplab._sample_columns(50, 1, 4.0) is not oplab._sample_columns(
+        50, 1, 4.0)
+
+
+def test_no_memo_survives_the_pq_suite():
+    import qmink.oplab as oplab
+    from qmink.suites import run_pq_suite
+    run_pq_suite(samples=20, seed=1)
+    assert oplab._scope is None
+    with pytest.raises(ValueError, match="p=1e\\+100, q=1e\\+100"):
+        run_pq_suite(pairs=((1e100, 1e100),), samples=20)
+    assert oplab._scope is None
