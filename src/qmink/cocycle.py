@@ -12,8 +12,10 @@ so residuals are pure floating-point noise and the default tolerance is
 1e-12.
 
 Sampling is seeded (stdlib Mersenne Twister, stable across platforms) and
-the seed is part of every report.  Each identity check takes a sequence of
-parameters and draws its samples once for all of them: the products and
+the seed is part of every report.  The checks of one seed and radius read
+their samples from one stream of disk points, which the cocycle suite draws
+once for all three.  Each identity check takes a sequence of parameters and
+evaluates its samples once for all of them: the products and
 imaginary parts that do not depend on s are computed once per sample, and
 the factor -i s once per s.  Every value is the same floating-point
 expression, in the same order, as a separate pass per s would evaluate, so
@@ -27,8 +29,9 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 
-from .reports import Residual
+from .reports import Residual, worst_of
 
 
 @dataclass(frozen=True)
@@ -95,35 +98,41 @@ class IdentityCheck:
 
 
 def _identity_checks(name, labels, params, factor, residuals, npoints,
-                     samples, seed, radius):
+                     samples, seed, radius, points):
     """One IdentityCheck per entry of params, all from one set of draws.
 
     factor(s) gives the constants of one s (such as -1j * s), computed once.
-    Each sample draws npoints disk points once; residuals(factors, *points)
-    returns the residual of every part (labels order) for every entry of
-    factors in turn, as one flat list.  Each part keeps its maximum and the
-    points of the first sample attaining it.
+    Sample i is the points i*npoints ... i*npoints + npoints - 1 of
+    disk_points(Random(seed), ..., radius), so checks of one seed and radius
+    read prefixes of one stream; `points` is that stream when a caller has
+    drawn it already.  residuals(factors, *sample) returns the residual of
+    every part (labels order) for every entry of factors in turn, as one
+    flat list.  Each part keeps its maximum and the points of the first
+    sample attaining it; the first NaN or inf is kept instead, so it fails.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and > 0, not {radius!r}")
+    if points is None:
+        points = disk_points(random.Random(seed), samples * npoints, radius)
+    if len(points) < samples * npoints:
+        raise ValueError(f"{len(points)} points cannot make {samples} "
+                         f"samples of {npoints}")
     params = tuple(params)
     factors = [factor(p.s) for p in params]
-    rng = random.Random(seed)
     worst = [0.0] * (len(labels) * len(params))
-    for i in range(samples):
-        pts = disk_points(rng, npoints, radius)
-        if i == 0:
-            at = [pts] * len(worst)
+    at = [tuple(points[:npoints])] * len(worst)
+    for pts in islice(zip(*[iter(points)] * npoints), samples):
         for j, r in enumerate(residuals(factors, *pts)):
-            if r > worst[j]:  # as max(worst, r), so the first maximal sample
+            # as max(worst, r), so the first maximal sample, or the first NaN
+            if (r > worst[j] or r != r) and math.isfinite(worst[j]):
                 worst[j], at[j] = r, pts
     checks = []
     for k, p in enumerate(params):
         part = slice(k * len(labels), (k + 1) * len(labels))
         checks.append(IdentityCheck(
-            name, p.s, samples, seed, radius, max(worst[part]),
+            name, p.s, samples, seed, radius, worst_of(worst[part]),
             tuple(sorted((label, Residual(r, tuple(pt))) for label, r, pt
                          in zip(labels, worst[part], at[part])))))
     return checks
@@ -154,7 +163,7 @@ def _cocycle_residuals(ks, a, b, c):
 
 
 def check_cocycle_identity(params, samples: int, seed: int,
-                           radius: float = 2.0) -> list:
+                           radius: float = 2.0, points=None) -> list:
     """Residual of psi(a,b) psi(a+b,c) = psi(b,c) psi(a,b+c), for psi and psi~.
 
     params is a sequence of CocycleParams; the result has one IdentityCheck
@@ -162,7 +171,7 @@ def check_cocycle_identity(params, samples: int, seed: int,
     """
     return _identity_checks("cocycle-identity", ("psi", "psi_tilde"), params,
                             lambda s: -1j * s, _cocycle_residuals,
-                            3, samples, seed, radius)
+                            3, samples, seed, radius, points)
 
 
 def _sumup_residuals(ks, x, y, u, v):
@@ -183,7 +192,8 @@ def _sumup_residuals(ks, x, y, u, v):
             for k in ks]
 
 
-def check_sumup(params, samples: int, seed: int, radius: float = 2.0) -> list:
+def check_sumup(params, samples: int, seed: int, radius: float = 2.0,
+                points=None) -> list:
     """Residual of the translation identity for psi*:
 
         psi*(x+u, y+v) = psi*(x,y) psi_u(x) psi~_v(y)
@@ -203,7 +213,7 @@ def check_sumup(params, samples: int, seed: int, radius: float = 2.0) -> list:
     """
     return _identity_checks("sumup", ("sumup",), params,
                             lambda s: -1j * s, _sumup_residuals,
-                            4, samples, seed, radius)
+                            4, samples, seed, radius, points)
 
 
 def _omega_residuals(factors, z, w):
@@ -219,7 +229,7 @@ def _omega_residuals(factors, z, w):
 
 
 def check_omega_identity(params, samples: int, seed: int,
-                         radius: float = 2.0) -> list:
+                         radius: float = 2.0, points=None) -> list:
     """Residual of omega(z+w) = omega(z) omega(w) exp(-i s Im(z w)).
 
     params is a sequence of CocycleParams; the result has one IdentityCheck
@@ -227,4 +237,4 @@ def check_omega_identity(params, samples: int, seed: int,
     """
     return _identity_checks("omega-identity", ("omega",), params,
                             lambda s: (-0.5j * s, -1j * s),
-                            _omega_residuals, 2, samples, seed, radius)
+                            _omega_residuals, 2, samples, seed, radius, points)

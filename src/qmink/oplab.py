@@ -16,22 +16,28 @@ discretization, truncation, or boundary effects.  (No finite-dimensional
 normal pair can scale by p != 1, which is why a function-space model is
 used instead of matrices.)
 
+Multipliers are built in a canonical form.  Every product is one monomial
+c e^{ax+by} times its other factors (sums, quotients, square roots) in a
+fixed structural order, and every sum combines the terms that share their
+non-constant part and drops a coefficient that is exactly zero.  So an
+identity whose two sides are algebraically equal products is one node on
+both sides, and a sum whose terms cancel is the zero multiplier: at
+p = q = 1, where every shift is zero, this is why def-mu2, twrs and
+(QQ*)_12, (QQ*)_21 hold exactly, not by an evaluation order.
+
 Residuals compare multipliers bucket-by-bucket over seeded sample points in
 a box, scaled by max(1, |value|) so the 1e-12 tolerance is meaningful for
 multipliers as large as e^8 * pq on the default [-4,4]^2 box.
 
 Evaluation is column-wise: a multiplier maps the column of sample points to
 a column of values, node by node, with a memo that holds one column per
-distinct subtree.  Alone, a comparison (`op_equal`, `op_norm_sample`) draws
-its points and fills its memo for itself.  Inside a `shared_samples` block,
-which the pq suite enters once per model, every comparison with the same
-(samples, seed, box) shares one set of sample columns and one memo, so the
-subtrees common to a model's checks are evaluated once; both go when the
-block ends.  Every value is computed with the same floating-point
-operations, in the same order, as a point-by-point walk of the tree would
-use; equal constants such as 1.0 and 1+0j may share a column, which can
-change only the sign of a zero.  So sharing leaves every residual
-bit-identical.
+distinct node (and one per distinct exponential).  Alone, a comparison
+(`op_equal`, `op_norm_sample`) draws its points and fills its memo for
+itself.  Inside a `shared_samples` block, which the pq suite enters once
+per model, every comparison with the same (samples, seed, box) shares one
+set of sample columns and one memo, so the nodes common to a model's checks
+are evaluated once; both go when the block ends.  Equal nodes hold equal
+fields, so a value never depends on which of them filled the memo.
 """
 
 from __future__ import annotations
@@ -41,10 +47,9 @@ import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import prod
 from operator import attrgetter
 
-from .reports import Residual
+from .reports import Residual, worst_of
 from .scalars import Scalar
 
 DEFAULT_BOX = 4.0
@@ -60,20 +65,46 @@ class PositivityError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-class MultiplierExpr:
-    """Closed-form expression in (x, y): constants, e^{ax+by}, +, *, /, sqrt.
+def _canon(v):
+    """v as a float when it is real, with both zero signs read as +0.0."""
+    v = complex(v) + 0j
+    return v if v.imag else v.real
 
-    Nodes are frozen dataclasses, so equal trees compare and hash equal.
+
+def _exp(z):
+    return cmath.exp(z) if isinstance(z, complex) else math.exp(z)
+
+
+class MultiplierExpr:
+    """Closed-form expression in (x, y): monomials c e^{ax+by}, +, *, /, sqrt.
+
+    Nodes are immutable and built only in canonical form (`Const`, `ExpLin`,
+    `+`, `*`, `Div`, `Sqrt`).  `key` spells a node's structure, exact floats
+    included; equal keys mean equal nodes, which compare and hash equal.
     `column` is the one evaluator: it maps sample columns (xs, ys) to a
-    column of values, filling a memo that maps each distinct subtree to its
-    column, so a subtree that occurs many times (or is rebuilt along another
-    route) is evaluated once per memo.  A one-point call `f(x, y)` is the
-    column evaluator on a single point, with a memo that shares only
-    identical nodes, so it gives exactly what a point-by-point walk gives.
+    column of values, filling a memo with one column per distinct node, so
+    a node that occurs many times, or is rebuilt along another route, is
+    evaluated once per memo.  `f(x, y)` is the column evaluator on a single
+    point.
     """
 
+    __slots__ = ("key", "_hash")
+
+    def _keyed(self, key):
+        self.key, self._hash = key, hash(key)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, MultiplierExpr)
+                                 and self.key == other.key)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return self.key
+
     def __call__(self, x: float, y: float) -> complex:
-        return self.column((x,), (y,), _IdentityMemo())[0]
+        return self.column((x,), (y,), {})[0]
 
     def column(self, xs, ys, memo: dict) -> list:
         col = memo.get(self)
@@ -92,128 +123,139 @@ class MultiplierExpr:
         raise NotImplementedError
 
     def __mul__(self, other):
-        return Mul(self, other)
+        f, g = _as_mul(self), _as_mul(other)
+        return _mono(f.c * g.c, f.a + g.a, f.b + g.b, f.factors + g.factors)
 
     def __add__(self, other):
-        return Add(self, other)
-
-    def is_zero_literal(self) -> bool:
-        return isinstance(self, Const) and self.value == 0
+        return _sum((*_terms(self), *_terms(other)))
 
 
-class _IdentityMemo(dict):
-    """A column memo keyed by node identity instead of equality.
-
-    Equal nodes can hold constants of different types or zero signs, such
-    as -1.5 and complex(-1.5, -0.0).  Their values agree, up to the sign of
-    a zero, so residuals do not depend on which one a shared memo holds;
-    but the value named in an error message does.
-    """
-
-    def get(self, node):
-        return super().get(id(node))
-
-    def __setitem__(self, node, col):
-        super().__setitem__(id(node), col)
-
-
-@dataclass(frozen=True)
-class Const(MultiplierExpr):
-    value: complex
-
-    def _column(self, xs, ys, memo):
-        return [self.value] * len(xs)
-
-    def conj(self):
-        return Const(complex(self.value).conjugate())
-
-    def shift(self, dx, dy):
-        return self
-
-
-@dataclass(frozen=True)
-class ExpLin(MultiplierExpr):
-    """e^{cx * x + cy * y}; coefficients may be complex."""
-
-    cx: complex
-    cy: complex
-
-    def _column(self, xs, ys, memo):
-        cx, cy = self.cx, self.cy
-        return [cmath.exp(cx * x + cy * y) for x, y in zip(xs, ys)]
-
-    def conj(self):
-        return ExpLin(complex(self.cx).conjugate(), complex(self.cy).conjugate())
-
-    def shift(self, dx, dy):
-        factor = cmath.exp(-(self.cx * dx + self.cy * dy))
-        if factor == 1.0:
-            return self
-        return Mul(Const(factor), self)
-
-
-@dataclass(frozen=True)
-class Add(MultiplierExpr):
-    a: MultiplierExpr
-    b: MultiplierExpr
-
-    def _column(self, xs, ys, memo):
-        ca = self.a.column(xs, ys, memo)
-        return [u + v for u, v in zip(ca, self.b.column(xs, ys, memo))]
-
-    def conj(self):
-        return Add(self.a.conj(), self.b.conj())
-
-    def shift(self, dx, dy):
-        return Add(self.a.shift(dx, dy), self.b.shift(dx, dy))
-
-
-_ONE = complex(1.0)
-_value_order = attrgetter("real", "imag")
-
-
-@dataclass(frozen=True)
 class Mul(MultiplierExpr):
-    """Product, evaluated at each point over the flattened factors in value order.
+    """The product c e^{ax+by} f_1 ... f_k, with the factors f_i sorted by key.
 
-    Sorting before multiplying makes the result independent of how the
-    product tree was associated, so algebraically equal compositions built
-    along different routes evaluate bit-identically (the "exactly zero"
-    cases of the undeformed model rely on this).
+    The f_i are sums, quotients and square roots; constants and exponentials
+    are folded into the monomial when the product is built, so a product
+    has one node however its factors were grouped.  Its column is
+    ((c e^{ax+by}) f_1) ... f_k, multiplied in that order, with no sort; a
+    factor c = 1 or e^0 is skipped, which changes at most the sign of a
+    zero.  `fkey` is the key without c: the terms of a sum with equal fkey
+    are combined.
     """
 
-    a: MultiplierExpr
-    b: MultiplierExpr
+    __slots__ = ("c", "a", "b", "factors", "fkey")
 
-    def _factors(self) -> list:
-        """The non-product leaves of this product tree, right to left."""
-        leaves, stack = [], [self]
-        while stack:
-            e = stack.pop()
-            if isinstance(e, Mul):
-                stack.append(e.a)
-                stack.append(e.b)
-            else:
-                leaves.append(e)
-        return leaves
+    def __init__(self, c, a, b, factors):  # canonical arguments: see _mono
+        self.c, self.a, self.b, self.factors = c, a, b, factors
+        self.fkey = f"e({a!r},{b!r})" + "".join("*" + f.key for f in factors)
+        self._keyed(repr(c) + self.fkey)
 
     def _column(self, xs, ys, memo):
-        cols = [list(map(complex, f.column(xs, ys, memo)))
-                for f in self._factors()]
-        return [prod(sorted(vals, key=_value_order), start=_ONE)
-                for vals in zip(*cols)]
+        c, a, b = self.c, self.a, self.b
+        cols = [f.column(xs, ys, memo) for f in self.factors]
+        if a or b:
+            col = memo.get((a, b))
+            if col is None:
+                exp = cmath.exp if complex in (type(a), type(b)) else math.exp
+                col = memo[(a, b)] = [exp(a * x + b * y) for x, y in zip(xs, ys)]
+            cols.insert(0, col)
+        if not cols:
+            return [c] * len(xs)
+        col = cols[0] if c == 1 else [c * v for v in cols[0]]
+        for f in cols[1:]:
+            col = [u * v for u, v in zip(col, f)]
+        return col
 
     def conj(self):
-        return Mul(self.a.conj(), self.b.conj())
+        return _mono(self.c.conjugate(), self.a.conjugate(), self.b.conjugate(),
+                     tuple(f.conj() for f in self.factors))
 
     def shift(self, dx, dy):
-        return Mul(self.a.shift(dx, dy), self.b.shift(dx, dy))
+        if not (dx or dy):
+            return self
+        a, b = self.a, self.b
+        return _mono(self.c * _exp(-(a * dx + b * dy)), a, b,
+                     tuple(f.shift(dx, dy) for f in self.factors))
 
 
-@dataclass(frozen=True)
+ZERO = Mul(0.0, 0.0, 0.0, ())
+_key = attrgetter("key")
+
+
+def _mono(c, a, b, factors=()):
+    """The canonical product c e^{ax+by} * factors: zero if c is, and the
+    bare factor if it is the only one and c e^{ax+by} = 1."""
+    c = _canon(c)
+    if c == 0:
+        return ZERO
+    a, b = _canon(a), _canon(b)
+    if c == 1 and not (a or b) and len(factors) == 1:
+        return factors[0]
+    return Mul(c, a, b, tuple(sorted(factors, key=_key)))
+
+
+def Const(value) -> MultiplierExpr:
+    return _mono(value, 0.0, 0.0)
+
+
+def ExpLin(cx, cy) -> MultiplierExpr:
+    """e^{cx * x + cy * y}; coefficients may be complex."""
+    return _mono(1.0, cx, cy)
+
+
+def _as_mul(e):
+    return e if isinstance(e, Mul) else Mul(1.0, 0.0, 0.0, (e,))
+
+
+def _terms(e):
+    return e.terms if isinstance(e, Add) else (_as_mul(e),)
+
+
+def _sum(terms):
+    """The canonical sum of Mul terms: equal fkeys combined in order, zero
+    coefficients dropped, the rest sorted by fkey."""
+    acc = {}
+    for t in terms:
+        old = acc.get(t.fkey)
+        acc[t.fkey] = t if old is None else Mul(_canon(old.c + t.c), t.a, t.b,
+                                                t.factors)
+    terms = tuple(t for _, t in sorted(acc.items()) if t.c != 0)
+    if len(terms) > 1:
+        return Add(terms)
+    if not terms:
+        return ZERO
+    (t,) = terms
+    return _mono(t.c, t.a, t.b, t.factors)
+
+
+class Add(MultiplierExpr):
+    """A sum of two or more Mul terms with distinct fkeys, summed in order."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):  # canonical terms: see _sum
+        self.terms = terms
+        self._keyed("A(" + ",".join(t.key for t in terms) + ")")
+
+    def _column(self, xs, ys, memo):
+        cols = [t.column(xs, ys, memo) for t in self.terms]
+        col = cols[0]
+        for f in cols[1:]:
+            col = [u + v for u, v in zip(col, f)]
+        return col
+
+    def conj(self):
+        return _sum([_as_mul(t.conj()) for t in self.terms])
+
+    def shift(self, dx, dy):
+        return _sum([_as_mul(t.shift(dx, dy)) for t in self.terms])
+
+
 class Div(MultiplierExpr):
-    num: MultiplierExpr
-    den: MultiplierExpr
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+        self._keyed(f"D({num.key},{den.key})")
 
     def _column(self, xs, ys, memo):
         cn = self.num.column(xs, ys, memo)
@@ -226,20 +268,23 @@ class Div(MultiplierExpr):
         return Div(self.num.shift(dx, dy), self.den.shift(dx, dy))
 
 
-@dataclass(frozen=True)
 class Sqrt(MultiplierExpr):
     """Square root of a positive expression; positivity checked at evaluation."""
 
-    arg: MultiplierExpr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        self.arg = arg
+        self._keyed(f"S({arg.key})")
 
     def _column(self, xs, ys, memo):
-        vals = list(map(complex, self.arg.column(xs, ys, memo)))
+        vals = self.arg.column(xs, ys, memo)
         for v, x, y in zip(vals, xs, ys):
             scale = abs(v) + 1.0
             if abs(v.imag) > 1e-9 * scale or v.real < -1e-9 * scale:
-                raise PositivityError(
-                    f"sqrt argument {v} at ({x}, {y}) is not a positive real")
-        return [complex(math.sqrt(max(v.real, 0.0))) for v in vals]
+                raise PositivityError(f"sqrt argument {complex(v)} at ({x}, {y}) "
+                                      f"is not a positive real")
+        return [math.sqrt(max(v.real, 0.0)) for v in vals]
 
     def conj(self):
         return Sqrt(self.arg.conj())
@@ -249,12 +294,6 @@ class Sqrt(MultiplierExpr):
 
 
 ONE_EXPR = Const(1.0)
-
-
-def _scaled_expr(c: complex, f: MultiplierExpr) -> MultiplierExpr:
-    if c == 1.0:
-        return f
-    return Mul(Const(c), f)
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +307,14 @@ class ShiftMultiplierOperator:
     __slots__ = ("atoms",)
 
     def __init__(self, atoms=None):
+        """atoms: a dict, or pairs, of shift -> multiplier.  Multipliers of
+        equal shifts are summed in order, and zero ones dropped."""
         canon = {}
-        if atoms:
-            for v, f in atoms.items():
-                if f.is_zero_literal():
-                    continue
-                key = (float(v[0]), float(v[1]))
-                if key in canon:
-                    canon[key] = Add(canon[key], f)
-                else:
-                    canon[key] = f
-        object.__setattr__(self, "atoms", canon)
+        for v, f in (atoms.items() if isinstance(atoms, dict) else atoms or ()):
+            key = (float(v[0]), float(v[1]))
+            canon[key] = canon[key] + f if key in canon else f
+        object.__setattr__(self, "atoms", {
+            k: f for k, f in canon.items() if f is not ZERO})
 
     @staticmethod
     def zero() -> "ShiftMultiplierOperator":
@@ -296,16 +332,11 @@ class ShiftMultiplierOperator:
         return not self.atoms
 
     def scaled(self, c: complex) -> "ShiftMultiplierOperator":
-        if c == 0:
-            return ShiftMultiplierOperator.zero()
         return ShiftMultiplierOperator(
-            {v: _scaled_expr(c, f) for v, f in self.atoms.items()})
+            {v: Const(c) * f for v, f in self.atoms.items()})
 
     def __add__(self, other):
-        atoms = dict(self.atoms)
-        for v, f in other.atoms.items():
-            atoms[v] = Add(atoms[v], f) if v in atoms else f
-        return ShiftMultiplierOperator(atoms)
+        return ShiftMultiplierOperator([*self.atoms.items(), *other.atoms.items()])
 
     def apply(self, func, point):
         """Evaluate (A phi)(point) for a sampled/closed-form function phi."""
@@ -321,23 +352,15 @@ class ShiftMultiplierOperator:
 
 def compose(a: ShiftMultiplierOperator, b: ShiftMultiplierOperator):
     """(M_f T_v)(M_g T_w) = M_{f * (g o tau_v)} T_{v+w}."""
-    atoms = {}
-    for v, f in a.atoms.items():
-        for w, g in b.atoms.items():
-            key = (v[0] + w[0], v[1] + w[1])
-            expr = Mul(f, g.shift(v[0], v[1]))
-            atoms[key] = Add(atoms[key], expr) if key in atoms else expr
-    return ShiftMultiplierOperator(atoms)
+    return ShiftMultiplierOperator([((v[0] + w[0], v[1] + w[1]), f * g.shift(*v))
+                                    for v, f in a.atoms.items()
+                                    for w, g in b.atoms.items()])
 
 
 def adjoint(a: ShiftMultiplierOperator) -> ShiftMultiplierOperator:
     """(M_f T_v)* = M_{conj(f) o tau_{-v}} T_{-v}."""
-    atoms = {}
-    for (dx, dy), f in a.atoms.items():
-        key = (-dx, -dy)
-        expr = f.conj().shift(-dx, -dy)
-        atoms[key] = Add(atoms[key], expr) if key in atoms else expr
-    return ShiftMultiplierOperator(atoms)
+    return ShiftMultiplierOperator([((-dx, -dy), f.conj().shift(-dx, -dy))
+                                    for (dx, dy), f in a.atoms.items()])
 
 
 def _diagonal_modulus(a: ShiftMultiplierOperator) -> MultiplierExpr:
@@ -346,7 +369,7 @@ def _diagonal_modulus(a: ShiftMultiplierOperator) -> MultiplierExpr:
     keys = list(prod.atoms)
     if keys and (len(keys) > 1 or any(abs(k[0]) + abs(k[1]) > 1e-12 for k in keys)):
         raise ValueError(f"A*A is not a zero-shift multiplier (shifts {keys})")
-    return prod.atoms.get((0.0, 0.0), Const(0.0))
+    return prod.atoms.get((0.0, 0.0), ZERO)
 
 
 def z_transform(a: ShiftMultiplierOperator, scale: float = 1.0):
@@ -360,9 +383,7 @@ def z_transform(a: ShiftMultiplierOperator, scale: float = 1.0):
         raise ValueError("z-transform scale must be positive")
     if a.is_zero():
         return ShiftMultiplierOperator.zero()
-    m = _diagonal_modulus(a)
-    damp = Div(ONE_EXPR, Sqrt(Add(ONE_EXPR, _scaled_expr(scale * scale, m))))
-    return compose(a, ShiftMultiplierOperator.multiplier(damp)).scaled(scale)
+    return compose(a, defect_sqrt(a, scale)).scaled(scale)
 
 
 def defect_sqrt(a: ShiftMultiplierOperator, scale: float = 1.0):
@@ -374,7 +395,7 @@ def defect_sqrt(a: ShiftMultiplierOperator, scale: float = 1.0):
     """
     m = _diagonal_modulus(a)
     return ShiftMultiplierOperator.multiplier(
-        Div(ONE_EXPR, Sqrt(Add(ONE_EXPR, _scaled_expr(scale * scale, m)))))
+        Div(ONE_EXPR, Sqrt(ONE_EXPR + Const(scale * scale) * m)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +498,17 @@ def _fold_max(best, col):
     """Fold a column into best = (value, index).
 
     An entry wins only if strictly larger, as in max(worst, r), so the
-    index is the first point where the maximum is attained.
+    index is the first point where the maximum is attained; but the first
+    NaN or inf wins for good, so a non-finite residual cannot pass.
     """
     worst, at = best
+    if not math.isfinite(worst):
+        return best
     for i, r in enumerate(col):
-        if r > worst:
+        if r > worst or r != r:
             worst, at = r, i
+            if not math.isfinite(r):
+                break
     return worst, at
 
 
@@ -534,13 +560,14 @@ def op_equal(a: ShiftMultiplierOperator, b: ShiftMultiplierOperator, *,
 
 def op_norm_sample(a: ShiftMultiplierOperator, *, samples=1000, seed=0,
                    box=DEFAULT_BOX) -> float:
-    """Max multiplier magnitude over sample points (0 for the zero operator)."""
+    """Max multiplier magnitude over sample points (0 for the zero operator;
+    the first NaN or inf if there is one)."""
     xs, ys, memo = _sample_columns(samples, seed, box)
-    worst = 0.0
+    best = (0.0, 0)
     for f in a.atoms.values():
         (col,) = _columns((f,), xs, ys, memo)
-        worst = max(worst, *map(abs, col))
-    return worst
+        best = _fold_max(best, map(abs, col))
+    return best[0]
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +586,7 @@ class OperatorCheck:
 
     @property
     def max_residual(self) -> float:
-        return max((r for _, r in self.residuals), default=0.0)
+        return worst_of(r for _, r in self.residuals)
 
     def passed(self, tol: float = 1e-12) -> bool:
         return self.max_residual < tol
@@ -627,10 +654,10 @@ def check_QQstar(model: PQModel, samples: int = 1000, seed: int = 0,
     kw = dict(samples=samples, seed=seed, box=box)
 
     def diagonal_form(ax: float, by: float):
-        A = _scaled_expr(ax, ExpLin(2.0, 0.0))
-        B = _scaled_expr(by, ExpLin(0.0, 2.0))
-        num = Add(ONE_EXPR, Mul(A, B))
-        den = Mul(Add(ONE_EXPR, A), Add(ONE_EXPR, B))
+        A = Const(ax) * ExpLin(2.0, 0.0)
+        B = Const(by) * ExpLin(0.0, 2.0)
+        num = ONE_EXPR + A * B
+        den = (ONE_EXPR + A) * (ONE_EXPR + B)
         return ShiftMultiplierOperator.multiplier(Div(num, den))
 
     zero = ShiftMultiplierOperator.zero()
@@ -699,7 +726,7 @@ class ConsistencyCheck:
 
     @property
     def max_residual(self) -> float:
-        return max((r for _, r in self.residuals), default=0.0)
+        return worst_of(r for _, r in self.residuals)
 
     def passed(self, tol: float = 1e-12) -> bool:
         return self.max_residual < tol
@@ -715,9 +742,15 @@ def check_symbolic_consistency(s: float, *, convention: str = "plain",
     model's commutation constants against the formally evaluated Laurent
     scalars q^{+-4} (or q^{+-8} under the squared convention).
     """
-    t = math.exp(-8.0 * s)
-    p, q = pq_from_pair_label(1.0 / t, t, convention)
-    model = build_pq_pair(p, q)
+    try:
+        t = math.exp(-8.0 * s)
+        if not (0.0 < t < math.inf and 1.0 / t < math.inf):
+            raise OverflowError(f"t = exp(-8 s) = {t!r}")
+        p, q = pq_from_pair_label(1.0 / t, t, convention)
+        model = build_pq_pair(p, q)
+    except OverflowError as exc:
+        raise ValueError(f"s={s!r} is outside the model's double-precision "
+                         f"range ({exc})") from None
     kw = dict(samples=samples, seed=seed, box=box)
     r_ops = op_equal(compose(model.R, model.S),
                      compose(model.S, model.R).scaled(p * p), **kw)
@@ -732,33 +765,3 @@ def check_symbolic_consistency(s: float, *, convention: str = "plain",
                             (("RS = p^2 SR", r_ops), ("RS* = q^2 S*R", r_ops_star),
                              (f"p^2 = eval(q^{exponent})", r_fwd),
                              (f"q^2 = eval(q^-{exponent})", r_bwd)))
-
-
-def gaussian_bump(cx: float = 0.0, cy: float = 0.0, width: float = 1.0):
-    """A closed-form test function for vector-level checks."""
-
-    def bump(x, y):
-        return math.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width * width))
-
-    return bump
-
-
-class SampledFunction:
-    """A function known on finitely many points; evaluating elsewhere errors.
-
-    Useful as a vector for identity checks when a closed form is not wanted:
-    the caller supplies values on the sample points and on their shifts.
-    """
-
-    def __init__(self, values):
-        self._values = {(float(x), float(y)): complex(v)
-                        for (x, y), v in dict(values).items()}
-
-    def __call__(self, x, y):
-        try:
-            return self._values[(x, y)]
-        except KeyError:
-            raise KeyError(f"function not sampled at ({x}, {y})") from None
-
-    def points(self):
-        return list(self._values)

@@ -8,6 +8,7 @@ collections are emitted in construction order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +32,18 @@ class Residual(float):
         return self
 
     def detail(self) -> str:
-        return f"worst at ({', '.join(map(repr, self.at))})"
+        where = "worst" if math.isfinite(self) else "first non-finite"
+        return f"{where} at ({', '.join(map(repr, self.at))})"
+
+
+def worst_of(residuals) -> float:
+    """The first non-finite residual, else the largest (0.0 for none).
+
+    max() alone can skip a NaN, and a NaN or inf residual must fail.
+    """
+    residuals = list(residuals)
+    return next((r for r in residuals if not math.isfinite(r)),
+                max(residuals, default=0.0))
 
 
 @dataclass(frozen=True)

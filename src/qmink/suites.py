@@ -14,7 +14,8 @@ from . import cocycle as cc
 from . import coact, oplab
 from .dsl import builtin
 from .ncalg import NCPolynomial, check_local_confluence, check_termination
-from .reports import CheckResult, ReportBundle, Residual, SuiteReport
+from .reports import (CheckResult, ReportBundle, Residual, SuiteReport,
+                      worst_of)
 
 ACCEPTANCE_S_VALUES = (0.3, 0.7, 1.1)
 ACCEPTANCE_PQ_PAIRS = ((1.0, 1.0), (2.0, 3.0), (0.5, math.e))
@@ -123,9 +124,10 @@ def run_coaction_suite() -> SuiteReport:
 
 
 def _residual_check(name, residual, tol) -> CheckResult:
-    """A numeric CheckResult; a failing sampled residual names the sample
-    point of its worst value, so it can be replayed."""
-    passed = residual < tol
+    """A numeric CheckResult; a NaN or inf residual fails, and a failing
+    sampled residual names the sample point of its worst (or first
+    non-finite) value, so it can be replayed."""
+    passed = math.isfinite(residual) and residual < tol
     detail = None
     if not passed and isinstance(residual, Residual):
         detail = residual.detail()
@@ -135,10 +137,12 @@ def _residual_check(name, residual, tol) -> CheckResult:
 def run_cocycle_suite(s_values=ACCEPTANCE_S_VALUES, samples: int = 10000,
                       seed: int = 0, tol: float = DEFAULT_TOL,
                       radius: float = 2.0) -> SuiteReport:
-    """The three cocycle identities for every s; each identity draws its
-    samples once for all s values."""
+    """The three cocycle identities for every s.  The disk points are drawn
+    once, 4 per sample (the most any identity takes), and each identity
+    reads its samples from that stream once for all s values."""
     params = [cc.CocycleParams(s) for s in s_values]
-    per_identity = [check(params, samples, seed, radius)
+    points = cc.disk_points(random.Random(seed), 4 * samples, radius)
+    per_identity = [check(params, samples, seed, radius, points=points)
                     for check in (cc.check_cocycle_identity, cc.check_sumup,
                                   cc.check_omega_identity)]
     checks = []
@@ -179,11 +183,10 @@ def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
                                oplab.check_twrs(model, samples, seed, box)):
                     checks.extend(_numeric_checks(result.name, label,
                                                   result.residuals, tol))
-                contraction = max(
-                    oplab.op_norm_sample(oplab.z_transform(model.R),
-                                         samples=samples, seed=seed, box=box),
-                    oplab.op_norm_sample(oplab.z_transform(model.S),
-                                         samples=samples, seed=seed, box=box))
+                contraction = worst_of(
+                    oplab.op_norm_sample(oplab.z_transform(op), samples=samples,
+                                         seed=seed, box=box)
+                    for op in (model.R, model.S))
         except OverflowError as exc:
             raise ValueError(f"p={p!r}, q={q!r} is outside the model's "
                              f"double-precision range ({exc})") from None

@@ -224,3 +224,32 @@ def test_pq_parameters_outside_double_range_exit_2(capsys, p):
     (line,) = err.splitlines()
     value = repr(float(p))
     assert f"p={value}, q={value}" in line
+
+
+@pytest.mark.parametrize("s", ["100", "-100", "89"])
+def test_pq_deformation_outside_double_range_exits_2(capsys, s):
+    code, out, err = run(capsys, "check", "pq", "--s", s, "--samples", "10")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert f"s={float(s)!r} is outside the model's double-precision range" in line
+
+
+def test_non_finite_cocycle_residuals_fail(capsys):
+    import random
+
+    from qmink.cocycle import disk_points
+    code, out, _ = run(capsys, "check", "cocycle", "--radius", "1e300",
+                       "--samples", "5", "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "fail"
+    first = disk_points(random.Random(0), 4, 1e300)
+    for check in report["reports"][0]["checks"]:
+        assert check["status"] == "fail"
+        assert check["residual"] != check["residual"]  # NaN
+        n = {"cocycle": 3, "sumup": 4, "omega": 2}[check["name"].split("-")[0]
+                                                   .split("[")[0]]
+        assert check["detail"] == \
+            f"first non-finite at ({', '.join(map(repr, first[:n]))})"

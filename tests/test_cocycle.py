@@ -335,3 +335,31 @@ def test_passing_cocycle_checks_carry_no_detail(capsys):
                  "json"]) == 0
     checks = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
     assert all("detail" not in c for c in checks)
+
+
+def test_a_shared_stream_gives_the_separate_draws_results():
+    params = [CocycleParams(s) for s in (0.3, -1.1)]
+    points = disk_points(random.Random(5), 4 * 300, 2.0)
+    for check in CHECKS:
+        alone = check(params, 300, 5)
+        shared = check(params, 300, 5, points=points)
+        assert shared == alone
+        assert [[(r, r.at) for _, r in c.parts] for c in shared] == \
+            [[(r, r.at) for _, r in c.parts] for c in alone]
+        with pytest.raises(ValueError, match="cannot make 301 samples"):
+            check(params, 301, 5, points=points[:2 * 301 - 1])
+
+
+def test_a_non_finite_residual_is_kept_with_its_first_sample():
+    from qmink.cocycle import _identity_checks
+
+    def residuals(factors, z):
+        return [float(z.real > 0) if abs(z) > 1.0 else math.nan for _ in factors]
+
+    pts = disk_points(random.Random(2), 40, 2.0)
+    (check,) = _identity_checks("probe", ("probe",), [S], lambda s: s,
+                                residuals, 1, 40, 2, 2.0, None)
+    first = next(z for z in pts if abs(z) <= 1.0)
+    (_, r), = check.parts
+    assert r != r and r.at == (first,) and check.max_residual != 0.0
+    assert not check.passed()

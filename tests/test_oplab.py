@@ -8,14 +8,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmink.oplab import (Add, Const, Div, ExpLin, Mul, PositivityError,
+from qmink.oplab import (ZERO, Add, Const, Div, ExpLin, Mul, PositivityError,
                          ShiftMultiplierOperator, Sqrt, adjoint, build_Q,
                          build_pq_pair, check_QQstar, check_def_mu2,
                          check_symbolic_consistency, check_twrs, compose,
-                         gaussian_bump, op_equal, op_norm_sample,
-                         pq_from_pair_label, shared_samples, z_transform)
+                         defect_sqrt, op_equal, op_norm_sample, pq_from_pair_label,
+                         shared_samples, z_transform)
 
 PAIRS = ((1.0, 1.0), (2.0, 3.0), (0.5, math.e))
+
+
+def gaussian_bump(cx: float = 0.0, cy: float = 0.0, width: float = 1.0):
+    """A closed-form test function for vector-level checks."""
+
+    def bump(x, y):
+        return math.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * width * width))
+
+    return bump
+
+
+class SampledFunction:
+    """A function known on finitely many points; evaluating elsewhere errors."""
+
+    def __init__(self, values):
+        self._values = {(float(x), float(y)): complex(v)
+                        for (x, y), v in dict(values).items()}
+
+    def __call__(self, x, y):
+        try:
+            return self._values[(x, y)]
+        except KeyError:
+            raise KeyError(f"function not sampled at ({x}, {y})") from None
 
 
 def test_model_parameters():
@@ -265,7 +288,6 @@ def test_identities_across_a_wider_parameter_sweep():
 
 
 def test_sampled_function_vector():
-    from qmink.oplab import SampledFunction
     m = build_pq_pair(2.0, 3.0)
     pt = (0.25, -1.5)
     shifted = (pt[0] - m.a, pt[1])
@@ -291,33 +313,29 @@ def test_wrong_shift_in_the_model_is_caught():
 
 # -- column-wise evaluation against a per-point oracle ---------------------------
 #
-# The oracle below is the original point-by-point tree walk, kept here as a
-# reference that shares no code with qmink: it reads the node fields only and
-# never calls a node's own evaluator.
+# The oracle below is a point-by-point tree walk, kept here as a reference
+# that shares no code with qmink: it reads the node fields only and never
+# calls a node's own evaluator.  It follows the documented order: a product
+# is ((c e^{ax+by}) f_1) ... f_k, left to right, where a factor c = 1 or
+# e^0 is not multiplied in; a sum adds its terms left to right.
 
 
 def oracle_eval(e, x, y):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, ExpLin):
-        return cmath.exp(e.cx * x + e.cy * y)
-    if isinstance(e, Add):
-        return oracle_eval(e.a, x, y) + oracle_eval(e.b, x, y)
     if isinstance(e, Mul):
-        vals = []
-        stack = [e]
-        while stack:
-            f = stack.pop()
-            if isinstance(f, Mul):
-                stack.append(f.a)
-                stack.append(f.b)
-            else:
-                vals.append(complex(oracle_eval(f, x, y)))
-        vals.sort(key=lambda z: (z.real, z.imag))
-        out = complex(1.0)
-        for v in vals:
-            out *= v
-        return out
+        v = None if e.c == 1 else e.c
+        if e.a or e.b:
+            z = e.a * x + e.b * y
+            ez = cmath.exp(z) if isinstance(z, complex) else math.exp(z)
+            v = ez if v is None else v * ez
+        for f in e.factors:
+            fv = oracle_eval(f, x, y)
+            v = fv if v is None else v * fv
+        return e.c if v is None else v
+    if isinstance(e, Add):
+        v = oracle_eval(e.terms[0], x, y)
+        for t in e.terms[1:]:
+            v = v + oracle_eval(t, x, y)
+        return v
     if isinstance(e, Div):
         return oracle_eval(e.num, x, y) / oracle_eval(e.den, x, y)
     if isinstance(e, Sqrt):
@@ -326,7 +344,7 @@ def oracle_eval(e, x, y):
         if abs(v.imag) > 1e-9 * scale or v.real < -1e-9 * scale:
             raise PositivityError(
                 f"sqrt argument {v} at ({x}, {y}) is not a positive real")
-        return complex(math.sqrt(max(v.real, 0.0)))
+        return math.sqrt(max(v.real, 0.0))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -424,9 +442,13 @@ _LEAVES = st.one_of(
 
 def _rebuild(e):
     """An equal tree made of fresh node objects."""
-    if isinstance(e, (Const, ExpLin)):
-        return type(e)(*(getattr(e, f) for f in e.__dataclass_fields__))
-    return type(e)(*(_rebuild(getattr(e, f)) for f in e.__dataclass_fields__))
+    if isinstance(e, Mul):
+        return Mul(e.c, e.a, e.b, tuple(map(_rebuild, e.factors)))
+    if isinstance(e, Add):
+        return Add(tuple(map(_rebuild, e.terms)))
+    if isinstance(e, Div):
+        return Div(_rebuild(e.num), _rebuild(e.den))
+    return Sqrt(_rebuild(e.arg))
 
 
 @st.composite
@@ -440,13 +462,13 @@ def shared_trees(draw):
             ("add", "mul", "mul", "div", "sqrt", "sqrt_raw", "copy")))
         a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
         if kind == "add":
-            pool.append(Add(a, b))
+            pool.append(a + b)
         elif kind == "mul":
-            pool.append(Mul(a, Mul(b, a)))
+            pool.append(a * (b * a))
         elif kind == "div":
-            pool.append(Div(Mul(a, b), Add(Const(1.0), Mul(b, b.conj()))))
+            pool.append(Div(a * b, Const(1.0) + b * b.conj()))
         elif kind == "sqrt":
-            pool.append(Sqrt(Add(Const(1 + 0j), Mul(a, a.conj()))))
+            pool.append(Sqrt(Const(1 + 0j) + a * a.conj()))
         elif kind == "sqrt_raw":
             pool.append(Sqrt(a))
         else:
@@ -480,21 +502,27 @@ def test_column_values_match_oracle_on_shared_trees(pool, seed):
 
 
 def test_equal_constants_of_different_types_share_a_column():
-    e = Const(2.0) + Const(-1.5)
-    siblings = [Add(Const(1.0), e), Add(Const(1 + 0j), e),
-                Mul(Const(-0.0), ExpLin(1.0, 0.0)), Mul(Const(0.0), ExpLin(1.0, 0.0)),
-                Div(Add(Const(1.0), e), Sqrt(Add(Const(1 + 0j), Mul(e, e))))]
+    # 1.0 and 1+0j are one constant, -0.0 and 0.0 the zero multiplier, and
+    # a real constant is its own conjugate: equal nodes hold equal fields,
+    # so a shared column cannot depend on which of them filled it.
+    assert Const(1 + 0j) == Const(1.0) and type(Const(1 + 0j).c) is float
+    assert Const(-0.0) is ZERO and Const(complex(0.0, -0.0)) is ZERO
+    assert Const(-1.5).conj().key == Const(complex(-1.5, -0.0)).key == "-1.5e(0.0,0.0)"
+    assert Const(-0.0) * ExpLin(1.0, 0.0) is ZERO
+    e = Const(2.0) * ExpLin(1.0, 0.0) + Const(-1.5)
+    siblings = [Const(1.0) + e, Const(1 + 0j) + e,
+                Div(Const(1.0) + e, Sqrt(Const(1 + 0j) + e * e))]
+    assert siblings[0] == siblings[1] and siblings[0] is not siblings[1]
     pts = oracle_points(20, 3)
     xs, ys = [x for x, _ in pts], [y for _, y in pts]
     memo = {}
     for f in siblings:
         assert f.column(xs, ys, memo) == [oracle_eval(f, x, y) for x, y in pts]
-    # 1.0 and 1+0j share one entry, -0.0 and 0.0 another; 2.0 and -1.5 remain
-    assert len([k for k in memo if isinstance(k, Const)]) == 4
+    assert [k for k in memo if k == siblings[1]] == [siblings[0]]
 
 
 def test_sqrt_positivity_error_names_the_first_failing_point():
-    f = Sqrt(Add(Const(-5.0), ExpLin(1.0, 0.0)))  # negative for x < ln 5
+    f = Sqrt(Const(-5.0) + ExpLin(1.0, 0.0))  # negative for x < ln 5
     pts = oracle_points(50, 2)
     xs, ys = [x for x, _ in pts], [y for _, y in pts]
     want = oracle_outcome(lambda: [oracle_eval(f, x, y) for x, y in pts])
@@ -506,11 +534,10 @@ def test_sqrt_positivity_error_names_the_first_failing_point():
 
 
 def test_positivity_error_names_the_walks_value_for_equal_nodes():
-    # Const(-1.5) and its conjugate Const(complex(-1.5, -0.0)) are equal
-    # nodes and share a memo entry; the error must still name the value
-    # (-1.5+0j) that a point-by-point walk meets.
+    # Const(-1.5) and its conjugate are one node; the error names the
+    # value (-1.5+0j) that a point-by-point walk meets.
     neg = Const(-1.5)
-    f = Add(Sqrt(Add(Const(1 + 0j), Mul(neg, neg.conj()))), Sqrt(neg))
+    f = Sqrt(Const(1 + 0j) + neg * neg.conj()) + Sqrt(neg)
     op = ShiftMultiplierOperator.multiplier(f)
     pts = oracle_points(12, 0)
     want = oracle_outcome(lambda: oracle_op_equal(op, op, pts))
@@ -524,9 +551,9 @@ def test_positivity_error_follows_the_point_order_across_nodes():
     # The first Sqrt fails only where x > 3.5, the second where y > 3.0; with
     # seed 0 the second fails first (point 8, against point 31), and the
     # error must name that point, as a point-by-point walk does.
-    first = Sqrt(Add(Const(1.0), Mul(Const(-math.exp(-3.5)), ExpLin(1.0, 0.0))))
-    second = Sqrt(Add(Const(1.0), Mul(Const(-math.exp(-3.0)), ExpLin(0.0, 1.0))))
-    op = ShiftMultiplierOperator.multiplier(Add(first, second))
+    first = Sqrt(Const(1.0) + Const(-math.exp(-3.5)) * ExpLin(1.0, 0.0))
+    second = Sqrt(Const(1.0) + Const(-math.exp(-3.0)) * ExpLin(0.0, 1.0))
+    op = ShiftMultiplierOperator.multiplier(first + second)
     pts = oracle_points(200, 0)
     want = oracle_outcome(lambda: oracle_op_equal(op, op, pts))
     assert want[0] is PositivityError and f"at {pts[8]}".replace(" ", "") in \
@@ -544,9 +571,17 @@ def test_comparisons_need_at_least_one_sample(fn):
         fn()
 
 
+def core_identity_rs(m):
+    """The two sides of the twrs core identity for RS."""
+    dd = compose(defect_sqrt(m.R), defect_sqrt(m.S))
+    return (compose(compose(m.R, m.S), dd),
+            compose(z_transform(m.R, m.q / m.p),
+                    z_transform(m.S)).scaled(m.p / m.q))
+
+
 def test_op_equal_names_the_worst_point():
     m = build_pq_pair(2.0, 3.0)
-    a, b = compose(m.R, m.S), compose(m.S, m.R).scaled(m.p ** 2)
+    a, b = core_identity_rs(m)
     r = op_equal(a, b, samples=300, seed=4)
     assert r > 0.0
     pts = oracle_points(300, 4)
@@ -568,14 +603,11 @@ def test_failing_pq_check_names_a_replayable_worst_point(capsys):
               json.loads(capsys.readouterr().out)["reports"][0]["checks"]}
     m = build_pq_pair(2.0, 3.0)
     p, q, R, S = m.p, m.q, m.R, m.S
-    Sstar = adjoint(S)
     operators = {
-        "twrs: RS = p^2 SR": (compose(R, S), compose(S, R).scaled(p * p)),
-        "twrs: RS* = q^2 S*R": (compose(R, Sstar),
-                                compose(Sstar, R).scaled(q * q)),
-        "def-mu2: z(R)z(S*) = z_pq(S*)z_q/p(R)": (
-            compose(z_transform(R), z_transform(Sstar)),
-            compose(z_transform(Sstar, p * q), z_transform(R, q / p))),
+        "twrs: core identity RS": core_identity_rs(m),
+        "def-mu2: z_q/p(R)z(S) = z_pq(S)z(R)": (
+            compose(z_transform(R, q / p), z_transform(S)),
+            compose(z_transform(S, p * q), z_transform(R))),
         "QQ*: (QQ*)_12 = 0": (
             compose(build_Q(m)[0][0], adjoint(build_Q(m)[1][0]))
             + compose(build_Q(m)[0][1], adjoint(build_Q(m)[1][1])),
@@ -660,3 +692,176 @@ def test_no_memo_survives_the_pq_suite():
     with pytest.raises(ValueError, match="p=1e\\+100, q=1e\\+100"):
         run_pq_suite(pairs=((1e100, 1e100),), samples=20)
     assert oplab._scope is None
+
+
+# -- canonical forms -------------------------------------------------------------
+
+
+def test_products_of_constants_and_exponentials_are_one_monomial():
+    f = Const(2.0) * ExpLin(1.0, 0.0) * Const(-0.5) * ExpLin(0.5, 1.0)
+    assert isinstance(f, Mul) and (f.c, f.a, f.b, f.factors) == (-1.0, 1.5, 1.0, ())
+    g = f.shift(0.5, -1.0)
+    assert (g.c, g.a, g.b) == (-1.0 * math.exp(-(1.5 * 0.5 + 1.0 * -1.0)), 1.5, 1.0)
+    h = (Const(1 + 2j) * ExpLin(0.5j, 1.0)).conj()
+    assert (h.c, h.a, h.b) == (1 - 2j, -0.5j, 1.0)
+    assert f.shift(0.0, 0.0) is f
+
+
+def test_a_product_is_one_node_however_it_was_grouped():
+    r = Sqrt(Const(1.0) + ExpLin(2.0, 0.0))
+    d = Div(Const(1.0), Const(1.0) + ExpLin(0.0, 2.0))
+    e = ExpLin(1.0, -1.0)
+    routes = [(r * d) * e, r * (d * e), (e * d) * r, e * (r * d) * Const(1.0)]
+    assert all(x == routes[0] and x.key == routes[0].key for x in routes)
+    assert routes[0].factors == tuple(sorted((r, d), key=lambda f: f.key))
+    memo = {}
+    cols = [x.column([0.5, -1.0], [0.25, 2.0], memo) for x in routes]
+    assert all(c is cols[0] for c in cols)  # one column in the memo
+
+
+def test_sums_combine_equal_terms_and_drop_exact_zeros():
+    r = Sqrt(Const(1.0) + ExpLin(2.0, 0.0))
+    f = ExpLin(1.0, 0.0) * r
+    s = f + Const(3.0) + Const(-2.0) * f + f
+    assert s == Const(3.0)  # 1 - 2 + 1 = 0 copies of f are left
+    assert (f + Const(-1.0) * f) is ZERO
+    t = f + ExpLin(0.0, 1.0) + f
+    assert isinstance(t, Add) and len(t.terms) == 2
+    assert {u.c for u in t.terms} == {2.0, 1.0}
+    zero = ShiftMultiplierOperator({(1.0, 0.0): f}) + \
+        ShiftMultiplierOperator({(1.0, 0.0): Const(-1.0) * f})
+    assert zero.is_zero()
+
+
+def _recorded_sides(monkeypatch, run):
+    """The operator pairs op_equal is given while run() runs."""
+    import qmink.oplab as oplab
+    seen, equal = [], oplab.op_equal
+
+    def record(a, b, **kw):
+        seen.append((a, b))
+        return equal(a, b, **kw)
+
+    monkeypatch.setattr(oplab, "op_equal", record)
+    result = run()
+    monkeypatch.undo()
+    return seen, result
+
+
+def test_exact_zeros_at_p_q_one_come_from_structure(monkeypatch):
+    """At p = q = 1 the two sides of def-mu2 and twrs are the same nodes,
+    and (QQ*)_12, (QQ*)_21 have no atoms: their terms cancel when built."""
+    m = build_pq_pair(1.0, 1.0)
+    for check, same in ((check_def_mu2, (0, 1)), (check_twrs, (0, 1, 2, 3))):
+        sides, result = _recorded_sides(monkeypatch, lambda: check(m, 50, 1))
+        for i in same:
+            a, b = sides[i]
+            assert a.atoms == b.atoms and a.atoms
+            assert result.residuals[i][1] == 0.0
+    sides, result = _recorded_sides(monkeypatch, lambda: check_QQstar(m, 50, 1))
+    named = dict(result.residuals)
+    for (a, b), label in zip(sides[:2], ("(QQ*)_12 = 0", "(QQ*)_21 = 0")):
+        assert a.is_zero() and b.is_zero() and named[label] == 0.0
+
+
+# A recipe is a tree of tuples; build() makes its canonical multiplier and
+# raw() evaluates it directly at a point, together with a bound M on the
+# magnitudes it adds, so that |canonical - raw| <= 1e-14 M is a relative test.
+
+_RECIPE_LEAVES = st.one_of(
+    st.tuples(st.just("const"),
+              st.sampled_from([1.0, 2.5, -1.5, 0.5 - 0.25j, 1j, 0.3])),
+    st.tuples(st.just("exp"), st.sampled_from([0.0, 1.0, -0.5, 0.5j, 0.25]),
+              st.sampled_from([0.0, 0.5, -1.0, -0.25j])))
+_SHIFTS = st.sampled_from([0.0, -0.5, 0.75, 1.25])
+_RECIPES = st.recursive(_RECIPE_LEAVES, lambda kids: st.one_of(
+    st.tuples(st.just("add"), kids, kids),
+    st.tuples(st.just("mul"), kids, kids),
+    st.tuples(st.just("conj"), kids),
+    st.tuples(st.just("shift"), kids, _SHIFTS, _SHIFTS),
+    st.tuples(st.just("div"), kids, kids),
+    st.tuples(st.just("sqrt"), kids)), max_leaves=8)
+
+
+def build(r):
+    op = r[0]
+    if op == "const":
+        return Const(r[1])
+    if op == "exp":
+        return ExpLin(r[1], r[2])
+    if op == "add":
+        return build(r[1]) + build(r[2])
+    if op == "mul":
+        return build(r[1]) * build(r[2])
+    if op == "conj":
+        return build(r[1]).conj()
+    if op == "shift":
+        return build(r[1]).shift(r[2], r[3])
+    if op == "div":
+        d = build(r[2])
+        return Div(build(r[1]), Const(1.0) + d * d.conj())
+    a = build(r[1])
+    return Sqrt(Const(1.0) + a * a.conj())
+
+
+def raw(r, x, y):
+    op = r[0]
+    if op == "const":
+        return complex(r[1]), abs(r[1])
+    if op == "exp":
+        v = cmath.exp(r[1] * x + r[2] * y)
+        return v, abs(v)
+    if op == "shift":
+        return raw(r[1], x - r[2], y - r[3])
+    u, mu = raw(r[1], x, y)
+    if op == "conj":
+        return u.conjugate(), mu
+    if op == "sqrt":
+        d = 1.0 + u * u.conjugate()
+        return cmath.sqrt(d), (1.0 + mu * mu) / math.sqrt(abs(d))
+    v, mv = raw(r[2], x, y)
+    if op == "add":
+        return u + v, mu + mv
+    if op == "mul":
+        return u * v, mu * mv
+    d = 1.0 + v * v.conjugate()
+    return u / d, mu * (1.0 + mv * mv) / abs(d) ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECIPES, st.integers(0, 10 ** 6))
+def test_canonical_form_matches_the_raw_construction(recipe, seed):
+    f = build(recipe)
+    rng = random.Random(seed)
+    pts = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8)]
+    col = f.column([x for x, _ in pts], [y for _, y in pts], {})
+    for (x, y), got in zip(pts, col):
+        want, bound = raw(recipe, x, y)
+        assert abs(got - want) <= 1e-14 * bound
+
+
+# -- non-finite residuals fail ----------------------------------------------------
+
+
+def test_fold_max_keeps_the_first_non_finite_value():
+    from qmink.oplab import _fold_max
+    assert _fold_max((0.0, 0), [0.5, 0.1, 0.7, 0.7]) == (0.7, 2)
+    worst, at = _fold_max((0.0, 0), [0.5, 0.1, math.nan, math.inf, 2.0])
+    assert worst != worst and at == 2
+    assert _fold_max((0.0, 0), [0.5, math.inf, math.nan]) == (math.inf, 1)
+    assert _fold_max((math.inf, 1), [math.nan, 3.0]) == (math.inf, 1)
+
+
+def test_a_nan_multiplier_fails_its_comparison_and_names_its_point():
+    from qmink.reports import Residual
+    from qmink.suites import _residual_check
+    op = ShiftMultiplierOperator.multiplier(Const(math.nan) * ExpLin(1.0, 0.0))
+    r = op_equal(op, ShiftMultiplierOperator.zero(), samples=20, seed=3)
+    assert r != r and r.at == oracle_points(20, 3)[0]
+    norm = op_norm_sample(op, samples=20, seed=3)
+    assert norm != norm
+    for bad in (r, Residual(math.inf, (0.5, 0.25))):
+        check = _residual_check("probe", bad, 1e-12)
+        assert not check.passed
+        assert check.detail.startswith("first non-finite at (")
+    assert not _residual_check("probe", math.nan, 1e-12).passed
