@@ -12,6 +12,7 @@ codes: 0 all checks passed, 1 a check failed, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -82,9 +83,17 @@ def _samples(args) -> dict:
     return {} if args.samples is None else {"samples": args.samples}
 
 
+def _tol(args) -> float:
+    """--tol, which must be finite and > 0: NaN or inf would pass any residual."""
+    if not (0 < args.tol < math.inf):
+        raise ValueError(f"tol must be finite and > 0, not {args.tol!r}")
+    return args.tol
+
+
 def cmd_check(args) -> int:
     which = args.which
     samples = _samples(args)
+    tol = _tol(args)
     if which == "presentation":
         presentations = None
         if args.file is not None:
@@ -110,7 +119,7 @@ def cmd_check(args) -> int:
     elif which == "cocycle":
         s_values = args.s if args.s else list(suites.ACCEPTANCE_S_VALUES)
         report = suites.timed(lambda: suites.run_cocycle_suite(
-            s_values=s_values, **samples, seed=args.seed, tol=args.tol,
+            s_values=s_values, **samples, seed=args.seed, tol=tol,
             radius=args.radius))
     elif which == "pq":
         if (args.p is None) != (args.q is None):
@@ -119,7 +128,7 @@ def cmd_check(args) -> int:
                  else list(suites.ACCEPTANCE_PQ_PAIRS))
         s_values = args.s if args.s else list(suites.ACCEPTANCE_S_VALUES)
         report = suites.timed(lambda: suites.run_pq_suite(
-            pairs=pairs, **samples, seed=args.seed, tol=args.tol,
+            pairs=pairs, **samples, seed=args.seed, tol=tol,
             convention=args.pq_convention, s_values=s_values))
     else:  # pragma: no cover - argparse restricts choices
         raise DslError(f"unknown check {which!r}")
@@ -128,7 +137,7 @@ def cmd_check(args) -> int:
 
 def cmd_report_all(args) -> int:
     bundle = suites.run_all(**_samples(args), cocycle_samples=args.cocycle_samples,
-                            seed=args.seed, tol=args.tol,
+                            seed=args.seed, tol=_tol(args),
                             convention=args.pq_convention)
     return _emit(bundle, args.format)
 

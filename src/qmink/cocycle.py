@@ -42,7 +42,7 @@ class CocycleParams:
 
     def __post_init__(self):
         if not math.isfinite(self.s):
-            raise ValueError("deformation parameter must be finite")
+            raise ValueError(f"deformation parameter must be finite, not {self.s!r}")
 
 
 def dual_pairing(z1: complex, z2: complex) -> complex:

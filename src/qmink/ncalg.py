@@ -18,18 +18,19 @@ decreases this order, which gives termination; local confluence is checked
 explicitly via critical pairs.
 
 Strategies.  The deterministic normalizer rewrites the leftmost redex with
-the first declared rule matching there.  It finds redexes through an index
-from left-hand side to rule, and memoizes the normal form of every word it
-meets for the duration of one `normalize` call; since the strategy is a
-function of the word, the memo changes no result, confluent or not.  The
-random-redex strategy (``rng=``) scans with neither index nor memo: it is
-the independent oracle the deterministic one is checked against.
+the first declared rule matching there, found through an index from
+left-hand side to rule; words waiting to be rewritten merge, so paths that
+meet are rewritten once from there on, and one rewrite is one step of the
+budget.  The random-redex strategy (``rng=``) scans without the index and
+merges nothing: it is the independent oracle the deterministic one is
+checked against.
 
 All structures are immutable after construction; normalization is pure.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -282,96 +283,65 @@ class Presentation:
         """Exhaustive rewriting to normal form.
 
         The default strategy is deterministic: leftmost redex, and among
-        the rules matching there the first declared.  It is a function of
-        the word alone, so the normal form of every word met is memoized;
-        the memo lives for this one call and is never shared, and the result
-        equals plain rewriting even for non-confluent rule sets.  Passing a
-        seeded ``rng`` picks random redexes instead, with neither memo nor
-        rule index, which is used to cross-check confluence.  Each word
-        expanded counts as one step; exceeding ``step_limit``, or a word
-        rewriting back to itself, raises StepLimitExceeded rather than
-        returning a truncated answer.
+        the rules matching there the first declared, found through the rule
+        index.  A one-term rewrite goes on at once; the reducible words of
+        the input and of many-term rewrites wait, equal words merged, and
+        are taken greatest first in (heavy degree, length, letters).  Every
+        builtin rule lowers that order in any context, so no word waits
+        twice (under other rules one may, with the same result).  A seeded
+        ``rng`` picks random redexes instead, without the rule index, to
+        cross-check confluence.  Each rewrite is one step; past
+        ``step_limit`` StepLimitExceeded is raised, never a truncated
+        answer, so a rule cycle (a -> b, b -> a) spends the whole budget.
         """
         if rng is not None:
             return self._normalize_random(poly, step_limit, rng)
-        memo = {}
-        self._fill_memo(poly.words(), memo, step_limit)
-        out = {}
-        for word, coeff in poly.terms.items():
-            factor, nf = memo[word]
-            factor = factor * coeff
-            for w, c in nf.items():
-                c = c * factor
-                acc = out.get(w)
-                out[w] = c if acc is None else acc + c
-        # equal coefficients share one object, which keeps results small and
-        # lets products with the unit skip work (see Scalar.__mul__)
-        shared = {ONE: ONE}
-        return NCPolynomial({w: shared.setdefault(c, c) for w, c in out.items()})
+        find_redex, heavy_degree = self.find_redex, self.heavy_degree
+        terms = {}  # word -> summed coefficient: waiting or irreducible
+        # greatest (heavy degree, length, letters) on top; not order_key, whose
+        # inversion count costs O(n^2) per word and need not drop in context
+        heap = []
 
-    def _fill_memo(self, words, memo: dict, step_limit: int) -> None:
-        """Put the normal form of each word into memo, as (factor, {word: Scalar}).
+        def push(word, coeff):
+            if word in terms:
+                terms[word] += coeff
+                return
+            terms[word] = coeff
+            hit = find_redex(word)
+            if hit is not None:
+                heapq.heappush(heap, (-heavy_degree(word), -len(word),
+                                      tuple([-i for i in word]), word, hit))
 
-        The normal form is factor times the dict, so a rewrite to a single
-        word only scales the factor and shares its child's dict.  Iterative
-        depth-first expansion: a word is expanded (one step) when first met
-        and marked open (None in memo); its normal form replaces the mark
-        once the normal forms of all its one-step rewrites are in.  The open
-        words are the chain of ancestors of the word in hand, so a rewrite
-        that is still open is a rule cycle: it raises at once, as does
-        exceeding the step limit.
-        """
+        for word, coeff in poly._terms.items():
+            push(word, coeff)
         steps = 0
-        stack = [(w, None) for w in words]
-        while stack:
-            w, parts = stack.pop()
-            if parts is None:
-                if w in memo:
-                    continue
-                hit = self.find_redex(w)
-                if hit is None:
-                    memo[w] = (ONE, {w: ONE})
-                    continue
+        while heap:
+            word, (i, rule) = heapq.heappop(heap)[-2:]
+            coeff = terms.pop(word)
+            while not coeff.is_zero():
                 steps += 1
                 if steps > step_limit:
                     raise StepLimitExceeded(
                         f"normalization in {self.name} exceeded {step_limit} steps")
+                prefix, suffix = word[:i], word[i + len(rule.lhs):]
+                if len(rule.rhs._terms) != 1:
+                    for rw, rc in rule.rhs._terms.items():
+                        push(prefix + rw + suffix, rc * coeff)
+                    break
+                ((rw, rc),) = rule.rhs._terms.items()
+                word, coeff = prefix + rw + suffix, rc * coeff
+                hit = None if word in terms else find_redex(word)
+                if hit is None:
+                    terms[word] = terms[word] + coeff if word in terms else coeff
+                    break
                 i, rule = hit
-                prefix, suffix = w[:i], w[i + len(rule.lhs):]
-                parts = [(prefix + rw + suffix, rc) for rw, rc in rule.rhs._terms.items()]
-                memo[w] = None
-                stack.append((w, parts))
-                for child, _ in parts:
-                    if child not in memo:
-                        stack.append((child, None))
-                continue
-            nfs = [memo[child] for child, _ in parts]
-            if None in nfs:
-                raise StepLimitExceeded(
-                    f"normalization in {self.name} does not terminate: "
-                    f"a word rewrites back to itself")
-            if len(parts) == 1:
-                factor, nf = nfs[0]
-                memo[w] = (parts[0][1] * factor, nf)
-                continue
-            nf = {}
-            for (_, rc), (factor, child_nf) in zip(parts, nfs):
-                factor = rc * factor
-                for cw, cc in child_nf.items():
-                    cc = cc * factor
-                    acc = nf.get(cw)
-                    if acc is None:
-                        nf[cw] = cc
-                    else:
-                        cc = acc + cc
-                        if cc.is_zero():
-                            del nf[cw]
-                        else:
-                            nf[cw] = cc
-            memo[w] = (ONE, nf)
+        # equal coefficients share one object, which keeps results small and
+        # lets products with the unit skip work (see Scalar.__mul__)
+        shared = {ONE: ONE}
+        return NCPolynomial({w: shared.setdefault(c, c) for w, c in terms.items()})
 
     def _normalize_random(self, poly, step_limit, rng) -> NCPolynomial:
-        """Random-redex rewriting: the unmemoized oracle for normalize."""
+        """Random-redex rewriting: the unindexed oracle for normalize."""
         out = {}
         stack = [(w, c) for w, c in poly.terms.items()]
         steps = 0
@@ -457,14 +427,9 @@ class CriticalPair:
         return self.nf1 - self.nf2
 
 
-def _reduce_once_at(pres, word, rule, pos) -> NCPolynomial:
-    prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
-    terms = {}
-    for rw, rc in rule.rhs.terms.items():
-        w = prefix + rw + suffix
-        acc = terms.get(w)
-        terms[w] = rc if acc is None else acc + rc
-    return NCPolynomial(terms)
+def _reduce_once_at(word, rule, pos) -> NCPolynomial:
+    return (NCPolynomial.word(word[:pos]) * rule.rhs
+            * NCPolynomial.word(word[pos + len(rule.lhs):]))
 
 
 def critical_superpositions(pres: Presentation):
@@ -477,20 +442,14 @@ def critical_superpositions(pres: Presentation):
             for o in range(1, min(len(l1), len(l2))):
                 if l1[-o:] == l2[:o]:
                     yield r1, r2, l1 + l2[o:], 0, len(l1) - o
-    seen = set()
+    # inclusions; two rules with one left-hand side are paired once
     for a, r1 in enumerate(rules):
         for b, r2 in enumerate(rules):
-            if a == b:
-                continue
             l1, l2 = r1.lhs, r2.lhs
-            if len(l2) > len(l1):
+            if len(l2) > len(l1) or (l1 == l2 and a >= b):
                 continue
             for pos in range(len(l1) - len(l2) + 1):
                 if l1[pos:pos + len(l2)] == l2:
-                    key = (min(a, b), max(a, b), pos) if len(l1) == len(l2) else (a, b, pos)
-                    if len(l1) == len(l2) and key in seen:
-                        continue
-                    seen.add(key)
                     yield r1, r2, l1, 0, pos
 
 
@@ -498,8 +457,8 @@ def check_local_confluence(pres: Presentation, *, step_limit=DEFAULT_STEP_LIMIT)
     """Complete every overlap both ways; return the unresolved critical pairs."""
     unresolved = []
     for r1, r2, word, p1, p2 in critical_superpositions(pres):
-        t1 = pres.normalize(_reduce_once_at(pres, word, r1, p1), step_limit=step_limit)
-        t2 = pres.normalize(_reduce_once_at(pres, word, r2, p2), step_limit=step_limit)
+        t1 = pres.normalize(_reduce_once_at(word, r1, p1), step_limit=step_limit)
+        t2 = pres.normalize(_reduce_once_at(word, r2, p2), step_limit=step_limit)
         if t1 != t2:
             unresolved.append(CriticalPair(r1, r2, word, t1, t2))
     return unresolved
@@ -526,54 +485,11 @@ def star_closure(pres: Presentation) -> Presentation:
             break
         rules.extend(new_rules)
     # final pass: normal-form right-hand sides
-    work = pres.with_rules(rules)
     tidy = []
     for rule in rules:
         others = pres.with_rules([r for r in rules if r is not rule])
         tidy.append(RewriteRule(rule.lhs, others.normalize(rule.rhs)))
     return pres.with_rules(tidy, star_closed=True)
-
-
-@dataclass(frozen=True)
-class CompletionResult:
-    presentation: Presentation
-    added: tuple  # RewriteRule
-    locally_confluent: bool
-
-
-def complete(pres: Presentation, max_new_rules: int) -> CompletionResult:
-    """Orient unresolved critical pairs as new rules until locally confluent.
-
-    Presentations flagged star-closed are re-closed under star on each
-    round, so a dropped star-derived rule is restored as such rather than
-    through longer superposition rules.  Stops (reporting non-confluence)
-    once max_new_rules have been added.
-    """
-    current = pres
-    added = []
-
-    def budget_left():
-        return len(added) < max_new_rules
-
-    while True:
-        if current.star_closed:
-            closed = star_closure(current)
-            fresh = closed.rules[len(current.rules):]
-            if fresh and len(added) + len(fresh) > max_new_rules:
-                return CompletionResult(current, tuple(added), False)
-            if fresh:
-                added.extend(fresh)
-                current = closed
-                continue
-            current = closed
-        pairs = check_local_confluence(current)
-        if not pairs:
-            return CompletionResult(current, tuple(added), True)
-        if not budget_left():
-            return CompletionResult(current, tuple(added), False)
-        rule = orient(pairs[0].residual, current)
-        added.append(rule)
-        current = current.with_rules(current.rules + (rule,))
 
 
 def tensor(p1: Presentation, p2: Presentation) -> Presentation:

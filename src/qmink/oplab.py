@@ -416,8 +416,8 @@ class PQModel:
 
 
 def build_pq_pair(p: float, q: float) -> PQModel:
-    if p <= 0 or q <= 0:
-        raise ValueError("p and q must be positive")
+    if not (0 < p < math.inf and 0 < q < math.inf):
+        raise ValueError(f"p and q must be finite and positive, not p={p!r}, q={q!r}")
     a = math.log(p / q)
     c = -math.log(p * q)
     R = ShiftMultiplierOperator({(0.0, c): ExpLin(1.0, 0.0)})

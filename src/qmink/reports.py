@@ -2,7 +2,9 @@
 
 JSON output is byte-deterministic for a fixed seed: timing is kept out of
 the JSON rendering (it still appears in the text rendering) and all
-collections are emitted in construction order.
+collections are emitted in construction order.  It is strict JSON: a
+non-finite residual is written as null, and any other NaN or inf is an
+error rather than output.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class CheckResult:
     def to_json(self) -> dict:
         out = {"name": self.name, "status": "pass" if self.passed else "fail"}
         if self.residual is not None:
-            out["residual"] = self.residual
+            # strict JSON has no NaN or inf; the text rendering keeps them
+            out["residual"] = self.residual if math.isfinite(self.residual) else None
         if self.detail is not None:
             out["detail"] = self.detail
         return out
@@ -115,7 +118,7 @@ class ReportBundle:
         }
 
     def render_json(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=False)
+        return json.dumps(self.to_json(), indent=2, sort_keys=False, allow_nan=False)
 
     def render_text(self) -> str:
         lines = [r.render_text() for r in self.reports]

@@ -9,10 +9,18 @@ import pytest
 from qmink.cli import main
 
 
+SCHEMA = json.loads(
+    (resources.files("qmink.data") / "report.schema.json").read_text("utf-8"))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def test_normalize_determinant(capsys):
@@ -97,10 +105,8 @@ def test_report_all_json_validates_against_shipped_schema(capsys):
     code, out, _ = run(capsys, "report-all", "--samples", "100",
                        "--cocycle-samples", "200", "--format", "json")
     assert code == 0
-    schema = json.loads(
-        (resources.files("qmink.data") / "report.schema.json").read_text("utf-8"))
     doc = json.loads(out)
-    jsonschema.validate(doc, schema)
+    jsonschema.validate(doc, SCHEMA)
     assert {r["suite"] for r in doc["reports"]} == \
         {"presentation", "hopf", "coaction", "cocycle", "pq"}
     assert [r["suite"] for r in doc["reports"]] == \
@@ -243,13 +249,59 @@ def test_non_finite_cocycle_residuals_fail(capsys):
     code, out, _ = run(capsys, "check", "cocycle", "--radius", "1e300",
                        "--samples", "5", "--format", "json")
     assert code == 1
-    report = json.loads(out)
+    report = json.loads(out, parse_constant=reject_constant)
+    jsonschema.validate(report, SCHEMA)
     assert report["status"] == "fail"
     first = disk_points(random.Random(0), 4, 1e300)
     for check in report["reports"][0]["checks"]:
         assert check["status"] == "fail"
-        assert check["residual"] != check["residual"]  # NaN
+        assert check["residual"] is None  # non-finite, written as null
         n = {"cocycle": 3, "sumup": 4, "omega": 2}[check["name"].split("-")[0]
                                                    .split("[")[0]]
         assert check["detail"] == \
             f"first non-finite at ({', '.join(map(repr, first[:n]))})"
+
+
+# -- extreme numeric flags ---------------------------------------------------------
+
+EXTREMES = ("nan", "inf", "-inf", "0", "-1", "1e300")
+SMALL_RUNS = {"check cocycle": ("check", "cocycle", "--samples", "5"),
+              "check pq": ("check", "pq", "--samples", "5"),
+              "report-all": ("report-all", "--samples", "5",
+                             "--cocycle-samples", "5")}
+# exit code per value of EXTREMES.  A value the flag rejects exits 2; a value
+# it accepts gets the verdict of the checks: s = 0 and s = -1 are valid
+# deformations, and every residual is below a tolerance of 1e300.  A sample
+# count below 1 is test_sample_count_below_one_exits_2.
+EXPECTED_EXIT = {
+    ("check cocycle", "--tol"): (2, 2, 2, 2, 2, 0),
+    ("check pq", "--tol"): (2, 2, 2, 2, 2, 0),
+    ("report-all", "--tol"): (2, 2, 2, 2, 2, 0),
+    ("check cocycle", "--radius"): (2, 2, 2, 2, 2, 1),
+    ("check cocycle", "--s"): (2, 2, 2, 0, 0, 1),
+    ("check pq", "--s"): (2, 2, 2, 0, 0, 2),
+    ("check pq", "--p"): (2, 2, 2, 2, 2, 2),
+    ("check pq", "--q"): (2, 2, 2, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("command, flag, value, expected", [
+    (command, flag, value, codes[k])
+    for (command, flag), codes in EXPECTED_EXIT.items()
+    for k, value in enumerate(EXTREMES)])
+def test_extreme_numeric_flags_never_raise(
+        capsys, command, flag, value, expected):
+    argv = [*SMALL_RUNS[command], f"{flag}={value}", "--format", "json"]
+    if flag in ("--p", "--q"):  # the other parameter of the pair is 1
+        argv.append("--q=1" if flag == "--p" else "--p=1")
+    code, out, err = run(capsys, *argv)  # raises nothing
+    assert code == expected
+    if code == 2:
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("qmink: ")
+        assert repr(float(value)) in line
+        return
+    doc = json.loads(out, parse_constant=reject_constant)
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["status"] == ("pass" if code == 0 else "fail")

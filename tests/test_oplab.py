@@ -50,8 +50,9 @@ def test_model_parameters():
 
 
 def test_model_requires_positive_parameters():
-    with pytest.raises(ValueError):
-        build_pq_pair(-1.0, 2.0)
+    for p, q in ((-1.0, 2.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_pq_pair(p, q)
 
 
 def test_compose_of_r_and_s_is_a_single_atom():
