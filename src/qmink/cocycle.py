@@ -6,21 +6,25 @@ The deforming cocycle is the unimodular bicharacter-type exponential
 
 together with its companions: the mirror cocycle psi~ used on the second
 shift leg, the auxiliary psi* entering the untwisting unitary, and the
-quadratic phase omega that conjugates the Minkowski coordinates.  All are
-evaluated in double precision; every identity here is exact analytically,
-so residuals are pure floating-point noise and the default tolerance is
-1e-12.
+quadratic phase omega that conjugates the Minkowski coordinates.  Each is
+written once as an s-free real phase t, its value being exp(-i s t), so a
+conjugated factor is a negated phase.  Each identity is declared once, as
+data (`Identity`): the phases of each side's factors, as calls of the phase
+functions, which a declaration looks up when it runs, so the checked code
+is the shipped code.  Every identity is exact analytically (its phases sum
+to the same polynomial on both sides); residuals are pure floating-point
+noise and the default tolerance is 1e-12.
 
 Sampling is seeded (stdlib Mersenne Twister, stable across platforms) and
-the seed is part of every report.  The checks of one seed and radius read
-their samples from one stream of disk points, which the cocycle suite draws
-once for all three.  Each identity check takes a sequence of parameters and
-evaluates its samples once for all of them: the products and
-imaginary parts that do not depend on s are computed once per sample, and
-the factor -i s once per s.  Every value is the same floating-point
-expression, in the same order, as a separate pass per s would evaluate, so
-the residuals are bit-identical to it.  Each residual names the points of
-the first sample where its maximum is reached.
+the seed is part of every report; the cocycle suite draws one stream of disk
+points that all three checks read.  Each check takes a sequence of
+CocycleParams and returns one IdentityCheck per entry, all on the same
+samples, whose points are named as in its formula.  Per block of samples
+it computes the phases once, then per s exponentiates each factor's column
+and multiplies the columns in declaration order: the floating-point
+expressions of a separate pass per s and per sample, so the residuals are
+bit-identical to one.  Each residual names the points of the first sample
+where its maximum is reached.
 """
 
 from __future__ import annotations
@@ -29,9 +33,15 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial, reduce
+from operator import add, mul, neg, sub
+from typing import Callable
 
-from .reports import Residual, worst_of
+from .reports import Residual, fold_max, worst_of
+
+# Samples per block of phase columns: columns of all 10^4 samples raised a
+# report-all process's peak RSS by about 5 MB, blocks of 500 by nothing.
+BLOCK = 500
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,28 @@ class CocycleParams:
             raise ValueError(f"deformation parameter must be finite, not {self.s!r}")
 
 
+def psi_phase(z1, z2):
+    return (z1 * z2.conjugate()).imag
+
+
+def psi_tilde_phase(z1, z2):
+    """psi~(z1, z2) = conj(psi(-z1, -z2)); for this psi it is conj(psi(z1, z2))."""
+    return -psi_phase(-z1, -z2)
+
+
+def psi_star_phase(z1, z2):
+    """psi*(z1, z2) = conj(psi(z1, -z1 - z2)); for this psi it is psi itself."""
+    return -psi_phase(z1, -z1 - z2)
+
+
+def omega_phase(z):
+    return 0.5 * (z * z).imag
+
+
+def dual_phase(z1, z2):
+    return (z1 * z2).imag
+
+
 def dual_pairing(z1: complex, z2: complex) -> complex:
     """The self-duality bicharacter of the additive group C: exp(i Im(z1 z2)).
 
@@ -52,25 +84,23 @@ def dual_pairing(z1: complex, z2: complex) -> complex:
     the shift-family exponents and the weight metadata of the symbolic layer
     are expressed against it.
     """
-    return cmath.exp(1j * (z1 * z2).imag)
+    return cmath.exp(1j * dual_phase(z1, z2))
 
 
 def psi(params: CocycleParams, z1: complex, z2: complex) -> complex:
-    return cmath.exp(-1j * params.s * (z1 * z2.conjugate()).imag)
+    return cmath.exp(-1j * params.s * psi_phase(z1, z2))
 
 
 def psi_tilde(params: CocycleParams, z1: complex, z2: complex) -> complex:
-    """conj(psi(-z1, -z2)); for this psi it equals conj(psi(z1, z2))."""
-    return psi(params, -z1, -z2).conjugate()
+    return cmath.exp(-1j * params.s * psi_tilde_phase(z1, z2))
 
 
 def psi_star(params: CocycleParams, z1: complex, z2: complex) -> complex:
-    """conj(psi(z1, -z1 - z2)); for this psi it coincides with psi itself."""
-    return psi(params, z1, -z1 - z2).conjugate()
+    return cmath.exp(-1j * params.s * psi_star_phase(z1, z2))
 
 
 def omega(params: CocycleParams, z: complex) -> complex:
-    return cmath.exp(-0.5j * params.s * (z * z).imag)
+    return cmath.exp(-1j * params.s * omega_phase(z))
 
 
 def disk_points(rng: random.Random, n: int, radius: float):
@@ -81,6 +111,43 @@ def disk_points(rng: random.Random, n: int, radius: float):
         theta = 2.0 * math.pi * rng.random()
         pts.append(cmath.rect(r, theta))
     return pts
+
+
+@dataclass(frozen=True)
+class Identity:
+    """An identity between products of cocycle factors, declared once.
+
+    phases(*points), on npoints points, gives for each part (labels order)
+    the pair (lhs phases, rhs phases); a side is the product of exp(-i s t)
+    over its phases t, in order.  The points may be complex numbers, or
+    columns of them on which the phase arithmetic acts elementwise.
+    """
+
+    name: str
+    npoints: int
+    labels: tuple
+    phases: Callable
+
+
+# Declarations look the phase functions up when they run, not at import.
+COCYCLE = Identity(
+    "cocycle-identity", 3, ("psi", "psi_tilde"),
+    lambda a, b, c: [((f(a, b), f(a + b, c)), (f(b, c), f(a, b + c)))
+                     for f in (psi_phase, psi_tilde_phase)])
+
+SUMUP = Identity(
+    "sumup", 4, ("sumup",),
+    lambda x, y, u, v: [(
+        (psi_star_phase(x + u, y + v),),
+        (psi_star_phase(x, y), psi_phase(x, u), psi_tilde_phase(y, v),
+         psi_phase(-x - y, -v), -psi_phase(u, -x - y), psi_phase(u, v)))])
+
+OMEGA = Identity(
+    "omega-identity", 2, ("omega",),
+    lambda z, w: [((omega_phase(z + w),),
+                   (omega_phase(z), omega_phase(w), dual_phase(z, w)))])
+
+IDENTITIES = (COCYCLE, SUMUP, OMEGA)
 
 
 @dataclass(frozen=True)
@@ -97,99 +164,72 @@ class IdentityCheck:
         return self.max_residual < tol
 
 
-def _identity_checks(name, labels, params, factor, residuals, npoints,
-                     samples, seed, radius, points):
+def _lift(op):
+    return lambda *columns: _Column(map(op, *columns))
+
+
+class _Column(list):
+    """One value per sample, with the arithmetic of the phase functions
+    applied elementwise, so a declaration runs once per block of samples."""
+
+    __slots__ = ()
+    __add__, __sub__, __mul__ = map(_lift, (add, sub, mul))
+    __neg__, conjugate = map(_lift, (neg, complex.conjugate))
+    real = property(lambda self: _Column([z.real for z in self]))
+    imag = property(lambda self: _Column([z.imag for z in self]))
+
+    def __rmul__(self, constant):
+        return _Column([constant * t for t in self])
+
+
+def _side(k, columns):
+    """The column of exp(k t_1) exp(k t_2) ... over one side's phase columns."""
+    exp = cmath.exp
+    return reduce(partial(map, mul), [[exp(k * t) for t in col] for col in columns])
+
+
+def _identity_checks(identity, params, samples, seed, radius=2.0, points=None):
     """One IdentityCheck per entry of params, all from one set of draws.
 
-    factor(s) gives the constants of one s (such as -1j * s), computed once.
-    Sample i is the points i*npoints ... i*npoints + npoints - 1 of
+    Sample i is the points i*n ... i*n + n - 1 (n = identity.npoints) of
     disk_points(Random(seed), ..., radius), so checks of one seed and radius
     read prefixes of one stream; `points` is that stream when a caller has
-    drawn it already.  residuals(factors, *sample) returns the residual of
-    every part (labels order) for every entry of factors in turn, as one
-    flat list.  Each part keeps its maximum and the points of the first
-    sample attaining it; the first NaN or inf is kept instead, so it fails.
+    drawn it already.  Each part keeps its maximum and the points of the
+    first sample attaining it, or its first NaN or inf (`fold_max`).
     """
+    n = identity.npoints
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and > 0, not {radius!r}")
     if points is None:
-        points = disk_points(random.Random(seed), samples * npoints, radius)
-    if len(points) < samples * npoints:
+        points = disk_points(random.Random(seed), samples * n, radius)
+    if len(points) < samples * n:
         raise ValueError(f"{len(points)} points cannot make {samples} "
-                         f"samples of {npoints}")
+                         f"samples of {n}")
     params = tuple(params)
-    factors = [factor(p.s) for p in params]
-    worst = [0.0] * (len(labels) * len(params))
-    at = [tuple(points[:npoints])] * len(worst)
-    for pts in islice(zip(*[iter(points)] * npoints), samples):
-        for j, r in enumerate(residuals(factors, *pts)):
-            # as max(worst, r), so the first maximal sample, or the first NaN
-            if (r > worst[j] or r != r) and math.isfinite(worst[j]):
-                worst[j], at[j] = r, pts
-    checks = []
-    for k, p in enumerate(params):
-        part = slice(k * len(labels), (k + 1) * len(labels))
-        checks.append(IdentityCheck(
-            name, p.s, samples, seed, radius, worst_of(worst[part]),
-            tuple(sorted((label, Residual(r, tuple(pt))) for label, r, pt
-                         in zip(labels, worst[part], at[part])))))
-    return checks
-
-
-def _cocycle_residuals(ks, a, b, c):
-    """psi(a,b) psi(a+b,c) - psi(b,c) psi(a,b+c), then the same for psi~."""
-    ab, bc = a + b, b + c
-    na, nb, nc = -a, -b, -c
-    i1 = (a * b.conjugate()).imag
-    i2 = (ab * c.conjugate()).imag
-    i3 = (b * c.conjugate()).imag
-    i4 = (a * bc.conjugate()).imag
-    t1 = (na * nb.conjugate()).imag
-    t2 = ((-ab) * nc.conjugate()).imag
-    t3 = (nb * nc.conjugate()).imag
-    t4 = (na * (-bc).conjugate()).imag
-    exp = cmath.exp
-    out = []
-    for k in ks:
-        lhs = exp(k * i1) * exp(k * i2)
-        rhs = exp(k * i3) * exp(k * i4)
-        lhs_t = exp(k * t1).conjugate() * exp(k * t2).conjugate()
-        rhs_t = exp(k * t3).conjugate() * exp(k * t4).conjugate()
-        out.append(abs(lhs - rhs))
-        out.append(abs(lhs_t - rhs_t))
-    return out
+    ks = [-1j * p.s for p in params]
+    folds = [[(0.0, 0)] * len(identity.labels) for _ in params]
+    for start in range(0, samples, BLOCK):
+        stop = min(start + BLOCK, samples)
+        parts = identity.phases(*(_Column(points[start * n + i:stop * n:n])
+                                  for i in range(n)))
+        for k, best in zip(ks, folds):
+            for j, (lhs, rhs) in enumerate(parts):
+                best[j] = fold_max(best[j], map(abs, map(
+                    sub, _side(k, lhs), _side(k, rhs))), start)
+    return [IdentityCheck(
+                identity.name, p.s, samples, seed, radius,
+                worst_of(r for r, _ in best),
+                tuple((label, Residual(r, tuple(points[at * n:(at + 1) * n])))
+                      for label, (r, at) in zip(identity.labels, best)))
+            for p, best in zip(params, folds)]
 
 
 def check_cocycle_identity(params, samples: int, seed: int,
                            radius: float = 2.0, points=None) -> list:
-    """Residual of psi(a,b) psi(a+b,c) = psi(b,c) psi(a,b+c), for psi and psi~.
-
-    params is a sequence of CocycleParams; the result has one IdentityCheck
-    per entry, each evaluated on the same seeded triples (a, b, c).
-    """
-    return _identity_checks("cocycle-identity", ("psi", "psi_tilde"), params,
-                            lambda s: -1j * s, _cocycle_residuals,
-                            3, samples, seed, radius, points)
-
-
-def _sumup_residuals(ks, x, y, u, v):
-    """The sumup identity's two sides, factor by factor as in check_sumup."""
-    z1, z2 = x + u, y + v
-    nxy, nv = -x - y, -v
-    i1 = (z1 * (-z1 - z2).conjugate()).imag
-    i2 = (x * nxy.conjugate()).imag
-    i3 = (x * u.conjugate()).imag
-    i4 = ((-y) * nv.conjugate()).imag
-    i5 = (nxy * nv.conjugate()).imag
-    i6 = (u * nxy.conjugate()).imag
-    i7 = (u * v.conjugate()).imag
-    exp = cmath.exp
-    return [abs(exp(k * i1).conjugate()
-                - exp(k * i2).conjugate() * exp(k * i3) * exp(k * i4).conjugate()
-                * exp(k * i5) * exp(k * i6).conjugate() * exp(k * i7))
-            for k in ks]
+    """Residual of psi(a,b) psi(a+b,c) = psi(b,c) psi(a,b+c), for psi and psi~."""
+    return _identity_checks(COCYCLE, params, samples, seed, radius, points)
 
 
 def check_sumup(params, samples: int, seed: int, radius: float = 2.0,
@@ -202,39 +242,15 @@ def check_sumup(params, samples: int, seed: int, radius: float = 2.0,
     where the translation families are psi_u(x) = psi(x, u) and
     psi~_v(y) = psi~(y, v).
 
-    The trailing constant factor psi(u, v) is forced: at x = y = 0 the left
-    side is psi*(u, v) = psi(u, v) while every non-constant factor on the
-    right is 1.  Without it the identity only holds up to a central
-    constant, which is invisible to the twisting argument it supports but
-    not to a pointwise check.
-
-    params is a sequence of CocycleParams; the result has one IdentityCheck
-    per entry, each evaluated on the same seeded points (x, y, u, v).
+    The trailing constant factor psi(u, v) is forced: the other phases
+    leave exactly the phase of psi(u, v) over, so without it the identity
+    only holds up to a central constant, which is invisible to the
+    twisting argument it supports but not to a pointwise check.
     """
-    return _identity_checks("sumup", ("sumup",), params,
-                            lambda s: -1j * s, _sumup_residuals,
-                            4, samples, seed, radius, points)
-
-
-def _omega_residuals(factors, z, w):
-    """omega(z+w) - omega(z) omega(w) exp(-i s Im(z w))."""
-    zw = z + w
-    i1 = (zw * zw).imag
-    i2 = (z * z).imag
-    i3 = (w * w).imag
-    i4 = (z * w).imag
-    exp = cmath.exp
-    return [abs(exp(h * i1) - exp(h * i2) * exp(h * i3) * exp(k * i4))
-            for h, k in factors]
+    return _identity_checks(SUMUP, params, samples, seed, radius, points)
 
 
 def check_omega_identity(params, samples: int, seed: int,
                          radius: float = 2.0, points=None) -> list:
-    """Residual of omega(z+w) = omega(z) omega(w) exp(-i s Im(z w)).
-
-    params is a sequence of CocycleParams; the result has one IdentityCheck
-    per entry, each evaluated on the same seeded pairs (z, w).
-    """
-    return _identity_checks("omega-identity", ("omega",), params,
-                            lambda s: (-0.5j * s, -1j * s),
-                            _omega_residuals, 2, samples, seed, radius, points)
+    """Residual of omega(z+w) = omega(z) omega(w) exp(-i s Im(z w))."""
+    return _identity_checks(OMEGA, params, samples, seed, radius, points)

@@ -49,7 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .reports import Residual, worst_of
+from .reports import Residual, fold_max, worst_of
 from .scalars import Scalar
 
 DEFAULT_BOX = 4.0
@@ -494,24 +494,6 @@ def _columns(exprs, xs, ys, memo):
         raise
 
 
-def _fold_max(best, col):
-    """Fold a column into best = (value, index).
-
-    An entry wins only if strictly larger, as in max(worst, r), so the
-    index is the first point where the maximum is attained; but the first
-    NaN or inf wins for good, so a non-finite residual cannot pass.
-    """
-    worst, at = best
-    if not math.isfinite(worst):
-        return best
-    for i, r in enumerate(col):
-        if r > worst or r != r:
-            worst, at = r, i
-            if not math.isfinite(r):
-                break
-    return worst, at
-
-
 def _match_buckets(a, b, shift_tol):
     pairs, unmatched_a, used = [], [], set()
     for va in a.atoms:
@@ -548,26 +530,27 @@ def op_equal(a: ShiftMultiplierOperator, b: ShiftMultiplierOperator, *,
     best = (0.0, 0)
     for va, vb in pairs:
         cu, cv = _columns((a.atoms[va], b.atoms[vb]), xs, ys, memo)
-        best = _fold_max(best, [abs(u - v) / max(1.0, abs(u), abs(v))
-                                for u, v in zip(cu, cv)])
+        best = fold_max(best, [abs(u - v) / max(1.0, abs(u), abs(v))
+                               for u, v in zip(cu, cv)])
     for op, keys in ((a, only_a), (b, only_b)):
         for k in keys:
             (cu,) = _columns((op.atoms[k],), xs, ys, memo)
-            best = _fold_max(best, [u / max(1.0, u) for u in map(abs, cu)])
+            best = fold_max(best, [u / max(1.0, u) for u in map(abs, cu)])
     worst, at = best
     return Residual(worst, (xs[at], ys[at]))
 
 
 def op_norm_sample(a: ShiftMultiplierOperator, *, samples=1000, seed=0,
-                   box=DEFAULT_BOX) -> float:
+                   box=DEFAULT_BOX) -> Residual:
     """Max multiplier magnitude over sample points (0 for the zero operator;
-    the first NaN or inf if there is one)."""
+    the first NaN or inf if there is one), at the first point attaining it."""
     xs, ys, memo = _sample_columns(samples, seed, box)
     best = (0.0, 0)
     for f in a.atoms.values():
         (col,) = _columns((f,), xs, ys, memo)
-        best = _fold_max(best, map(abs, col))
-    return best[0]
+        best = fold_max(best, map(abs, col))
+    worst, at = best
+    return Residual(worst, (xs[at], ys[at]))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,24 @@ def worst_of(residuals) -> float:
                 max(residuals, default=0.0))
 
 
+def fold_max(best, col, start=0):
+    """Fold a column, numbered from start, into best = (value, index).
+
+    An entry wins only if strictly larger, as in max(worst, r), so the
+    index is the first point where the maximum is attained; but the first
+    NaN or inf wins for good, so a non-finite residual cannot pass.
+    """
+    worst, at = best
+    if not math.isfinite(worst):
+        return best
+    for i, r in enumerate(col, start):
+        if r > worst or r != r:
+            worst, at = r, i
+            if not math.isfinite(r):
+                break
+    return worst, at
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str

@@ -138,10 +138,11 @@ def run_cocycle_suite(s_values=ACCEPTANCE_S_VALUES, samples: int = 10000,
                       seed: int = 0, tol: float = DEFAULT_TOL,
                       radius: float = 2.0) -> SuiteReport:
     """The three cocycle identities for every s.  The disk points are drawn
-    once, 4 per sample (the most any identity takes), and each identity
-    reads its samples from that stream once for all s values."""
+    once, as many per sample as the largest declared identity takes, and
+    each identity reads its samples from that stream once for all s."""
     params = [cc.CocycleParams(s) for s in s_values]
-    points = cc.disk_points(random.Random(seed), 4 * samples, radius)
+    npoints = max(identity.npoints for identity in cc.IDENTITIES)
+    points = cc.disk_points(random.Random(seed), npoints * samples, radius)
     per_identity = [check(params, samples, seed, radius, points=points)
                     for check in (cc.check_cocycle_identity, cc.check_sumup,
                                   cc.check_omega_identity)]
@@ -190,8 +191,8 @@ def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
         except OverflowError as exc:
             raise ValueError(f"p={p!r}, q={q!r} is outside the model's "
                              f"double-precision range ({exc})") from None
-        checks.append(CheckResult(f"z-transform contraction ({label})",
-                                  contraction < 1.0, residual=contraction))
+        checks.append(_residual_check(f"z-transform contraction ({label})",
+                                      contraction, 1.0))
     for s in s_values:
         with oplab.shared_samples():
             result = oplab.check_symbolic_consistency(

@@ -6,10 +6,13 @@ import math
 import random
 import re
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmink import cocycle
 from qmink.cocycle import (CocycleParams, check_cocycle_identity,
                            check_omega_identity, check_sumup, disk_points,
                            dual_pairing, omega, psi, psi_star, psi_tilde)
@@ -264,7 +267,7 @@ S_LIST = (0.0, 0.3, -0.3, 1.1)
 CHECKS = (check_cocycle_identity, check_sumup, check_omega_identity)
 
 
-@pytest.mark.parametrize("samples", [1, 7, 500])
+@pytest.mark.parametrize("samples", [1, 7, 500, 1037])  # 1037: three blocks
 @pytest.mark.parametrize("seed", [0, 5, 42])
 def test_shared_draws_match_the_per_s_oracle(samples, seed):
     params = [CocycleParams(s) for s in S_LIST]
@@ -339,27 +342,195 @@ def test_passing_cocycle_checks_carry_no_detail(capsys):
 
 def test_a_shared_stream_gives_the_separate_draws_results():
     params = [CocycleParams(s) for s in (0.3, -1.1)]
-    points = disk_points(random.Random(5), 4 * 300, 2.0)
-    for check in CHECKS:
-        alone = check(params, 300, 5)
-        shared = check(params, 300, 5, points=points)
-        assert shared == alone
-        assert [[(r, r.at) for _, r in c.parts] for c in shared] == \
-            [[(r, r.at) for _, r in c.parts] for c in alone]
-        with pytest.raises(ValueError, match="cannot make 301 samples"):
-            check(params, 301, 5, points=points[:2 * 301 - 1])
+    for samples in (300, 1037):  # one block of samples, and three
+        points = disk_points(random.Random(5), 4 * samples, 2.0)
+        for check in CHECKS:
+            alone = check(params, samples, 5)
+            shared = check(params, samples, 5, points=points)
+            assert shared == alone
+            assert [[(r, r.at) for _, r in c.parts] for c in shared] == \
+                [[(r, r.at) for _, r in c.parts] for c in alone]
+            with pytest.raises(ValueError,
+                               match=f"cannot make {samples + 1} samples"):
+                check(params, samples + 1, 5,
+                      points=points[:2 * (samples + 1) - 1])
 
 
 def test_a_non_finite_residual_is_kept_with_its_first_sample():
-    from qmink.cocycle import _identity_checks
+    from qmink.cocycle import Identity, _identity_checks
 
-    def residuals(factors, z):
-        return [float(z.real > 0) if abs(z) > 1.0 else math.nan for _ in factors]
+    def phases(zs):  # NaN inside the unit disk, else 0 or 1 by sign
+        return [([[float(z.real > 0) if abs(z) > 1.0 else math.nan
+                   for z in zs]], [[0.0] * len(zs)])]
 
     pts = disk_points(random.Random(2), 40, 2.0)
-    (check,) = _identity_checks("probe", ("probe",), [S], lambda s: s,
-                                residuals, 1, 40, 2, 2.0, None)
+    (check,) = _identity_checks(Identity("probe", 1, ("probe",), phases),
+                                [S], 40, 2)
     first = next(z for z in pts if abs(z) <= 1.0)
     (_, r), = check.parts
     assert r != r and r.at == (first,) and check.max_residual != 0.0
     assert not check.passed()
+
+
+# -- the fold across blocks of samples -----------------------------------------
+
+
+def probe_identity(phase_at):
+    """A one-point identity whose lhs phase is phase_at[point] (else 0) and
+    whose rhs is 1, so sample i's residual is |exp(-i s t_i) - 1|."""
+    from qmink.cocycle import Identity
+    return Identity("probe", 1, ("probe",), lambda zs: [
+        ([[phase_at.get(z, 0.0) for z in zs]], [[0.0] * len(zs)])])
+
+
+def probe_worst(phase_at, samples=1200, seed=3):
+    from qmink.cocycle import BLOCK, _identity_checks
+    assert samples > 2 * BLOCK
+    (check,) = _identity_checks(probe_identity(phase_at), [S], samples, seed)
+    (_, r), = check.parts
+    return r
+
+
+def test_a_tie_in_a_later_block_keeps_the_earlier_sample():
+    from qmink.cocycle import BLOCK
+    pts = disk_points(random.Random(3), 1200, 2.0)
+    early, late = pts[BLOCK - 1], pts[2 * BLOCK + 7]
+    r = probe_worst({early: 1.0, late: 1.0})
+    assert r == abs(cmath.exp(-0.7j) - 1) and r.at == (early,)
+    r = probe_worst({early: 1.0, late: 2.0})
+    assert r == abs(cmath.exp(-1.4j) - 1) and r.at == (late,)
+
+
+def test_the_first_nan_wins_for_good_across_blocks():
+    from qmink.cocycle import BLOCK
+    pts = disk_points(random.Random(3), 1200, 2.0)
+    big, nan_at, later = pts[3], pts[BLOCK + 11], pts[2 * BLOCK + 1]
+    r = probe_worst({big: 2.0, nan_at: math.nan, later: math.nan})
+    assert r != r and r.at == (nan_at,)
+    r = probe_worst({nan_at: math.nan, later: 2.0})
+    assert r != r and r.at == (nan_at,)
+
+
+# -- the exact phase certificate ------------------------------------------------
+#
+# Every factor is exp(-i s t) for a phase t that is a real polynomial in the
+# points' coordinates, so an identity holds for all s at once exactly when
+# its lhs phases and rhs phases sum to the same polynomial.  The declared
+# identities are evaluated on symbolic points to check that.
+
+
+class Poly:
+    """A real polynomial with Fraction coefficients: {monomial: coefficient},
+    a monomial being the sorted tuple of its variables."""
+
+    def __init__(self, terms=()):
+        self.terms = {m: c for m, c in dict(terms).items() if c}
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            terms[m] = terms.get(m, 0) + c
+        return Poly(terms)
+
+    def __neg__(self):
+        return Poly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, Poly):  # an exact constant such as 0.5
+            return Poly({m: Fraction(other) * c for m, c in self.terms.items()})
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(sorted(m1 + m2))
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return Poly(terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+
+class Point:
+    """A symbolic complex point re + i im with Poly components."""
+
+    def __init__(self, re, im):
+        self.real, self.imag = re, im
+
+    def __add__(self, other):
+        return Point(self.real + other.real, self.imag + other.imag)
+
+    def __neg__(self):
+        return Point(-self.real, -self.imag)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        return Point(self.real * other.real - self.imag * other.imag,
+                     self.real * other.imag + self.imag * other.real)
+
+    def conjugate(self):
+        return Point(self.real, -self.imag)
+
+
+ZERO = Poly()
+
+
+def symbolic_points(n):
+    return [Point(Poly({(f"x{i}",): 1}), Poly({(f"y{i}",): 1}))
+            for i in range(n)]
+
+
+def phase_defects(identity):
+    """Per part, the sum of the lhs phases minus the sum of the rhs phases."""
+    return [sum(lhs, ZERO) - sum(rhs, ZERO)
+            for lhs, rhs in identity.phases(*symbolic_points(identity.npoints))]
+
+
+def test_every_declared_identity_has_an_exact_phase_certificate():
+    from qmink.cocycle import IDENTITIES
+    assert [i.name for i in IDENTITIES] == ["cocycle-identity", "sumup",
+                                            "omega-identity"]
+    for identity in IDENTITIES:
+        parts = identity.phases(*symbolic_points(identity.npoints))
+        assert len(parts) == len(identity.labels)
+        for lhs, rhs in parts:  # nothing cancels trivially
+            assert sum(lhs, ZERO) != ZERO
+            assert all(t != ZERO for t in (*lhs, *rhs))
+        assert phase_defects(identity) == [ZERO] * len(identity.labels)
+
+
+def test_the_sumup_constant_factor_is_forced():
+    """With psi(u, v) dropped, the other phases leave exactly the phase of
+    psi(u, v): the identity needs its trailing constant."""
+    from qmink.cocycle import SUMUP, psi_phase
+    x, y, u, v = symbolic_points(4)
+    ((lhs, rhs),) = SUMUP.phases(x, y, u, v)
+    remainder = sum(lhs, ZERO) - sum(rhs[:-1], ZERO)
+    assert remainder == psi_phase(u, v) and remainder != ZERO
+
+
+# -- the checked code is the shipped code ----------------------------------------
+
+
+MUTANTS = {
+    "psi_phase": lambda z1, z2: (z1 * z2).real,
+    "psi_star_phase": lambda z1, z2: -cocycle.psi_phase(z1, z1 + z2),
+    "omega_phase": lambda z: (z * z).imag,
+    "dual_phase": lambda z1, z2: (z1 * z2.conjugate()).imag,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_a_broken_phase_fails_the_suite_and_the_certificate(name, monkeypatch,
+                                                             capsys):
+    from qmink.cli import main
+    monkeypatch.setattr(cocycle, name, MUTANTS[name])
+    assert main(["check", "cocycle", "--samples", "200"]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+    assert any(d != ZERO for identity in cocycle.IDENTITIES
+               for d in phase_defects(identity))

@@ -625,6 +625,31 @@ def test_failing_pq_check_names_a_replayable_worst_point(capsys):
                                   "(s=0.3, plain)"]
 
 
+def test_a_failing_contraction_check_names_a_replayable_worst_point(
+        monkeypatch):
+    import re
+
+    import qmink.oplab as oplab
+    from qmink.suites import run_pq_suite
+    z = oplab.z_transform
+
+    def doubled(op, scale=1.0):  # no longer a contraction
+        return z(op, scale).scaled(2.0)
+
+    monkeypatch.setattr(oplab, "z_transform", doubled)
+    report = run_pq_suite(pairs=((2.0, 3.0),), samples=200, seed=7,
+                          s_values=())
+    (check,) = [c for c in report.checks if "contraction" in c.name]
+    assert check.name == "z-transform contraction (p=2, q=3)"
+    assert not check.passed and 1.0 < check.residual < 2.0
+    x, y = map(float, re.fullmatch(r"worst at \((\S+), (\S+)\)",
+                                   check.detail).groups())
+    assert (x, y) in oracle_points(200, 7)
+    m = build_pq_pair(2.0, 3.0)
+    assert max(abs(oracle_eval(f, x, y)) for op in (m.R, m.S)
+               for f in doubled(op).atoms.values()) == check.residual
+
+
 def test_passing_pq_checks_carry_no_detail(capsys):
     import json
 
@@ -845,12 +870,25 @@ def test_canonical_form_matches_the_raw_construction(recipe, seed):
 
 
 def test_fold_max_keeps_the_first_non_finite_value():
-    from qmink.oplab import _fold_max
-    assert _fold_max((0.0, 0), [0.5, 0.1, 0.7, 0.7]) == (0.7, 2)
-    worst, at = _fold_max((0.0, 0), [0.5, 0.1, math.nan, math.inf, 2.0])
+    from qmink.reports import fold_max
+    assert fold_max((0.0, 0), [0.5, 0.1, 0.7, 0.7]) == (0.7, 2)
+    worst, at = fold_max((0.0, 0), [0.5, 0.1, math.nan, math.inf, 2.0])
     assert worst != worst and at == 2
-    assert _fold_max((0.0, 0), [0.5, math.inf, math.nan]) == (math.inf, 1)
-    assert _fold_max((math.inf, 1), [math.nan, 3.0]) == (math.inf, 1)
+    assert fold_max((0.0, 0), [0.5, math.inf, math.nan]) == (math.inf, 1)
+    assert fold_max((math.inf, 1), [math.nan, 3.0]) == (math.inf, 1)
+
+
+def test_fold_max_numbers_a_later_block_from_its_start():
+    from qmink.reports import fold_max
+    best = fold_max((0.0, 0), [0.5, 0.7, 0.1])
+    assert fold_max(best, [0.7, 0.2], start=3) == (0.7, 1)  # tie: earlier
+    assert fold_max(best, iter([0.2, 0.9, 0.9]), start=3) == (0.9, 4)
+    worst, at = fold_max(best, [0.2, math.nan, math.inf], start=3)
+    assert worst != worst and at == 4
+    assert fold_max((math.nan, 4), [math.inf, 5.0], start=6)[1] == 4
+    assert fold_max((0.0, 0), [0.0, -0.0], start=9) == (0.0, 0)
+    assert fold_max((0.0, 0), [], start=2) == (0.0, 0)
+    assert fold_max((0.5, 0), [math.inf, 2.0], start=2) == (math.inf, 2)
 
 
 def test_a_nan_multiplier_fails_its_comparison_and_names_its_point():
