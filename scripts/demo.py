@@ -9,6 +9,7 @@ compact summary of every verification suite.  Run from the repo root:
 
 from qmink import coact
 from qmink.dsl import builtin, parse_expression, render_poly
+from qmink.reports import worst_of
 from qmink.suites import run_all
 
 
@@ -43,9 +44,8 @@ def show_suites():
     print("\nfull verification bundle (seed 0)")
     bundle = run_all(samples=500, cocycle_samples=2000, seed=0)
     for report in bundle.reports:
-        worst = max((c.residual for c in report.checks
-                     if c.residual is not None and "contraction" not in c.name),
-                    default=0.0)
+        worst = worst_of(c.residual for c in report.checks
+                         if c.residual is not None and "contraction" not in c.name)
         print(f"  {report.suite:13s} {'PASS' if report.passed else 'FAIL'}"
               f"   checks={len(report.checks):3d}   worst residual={worst:.2e}")
     print(f"overall: {'PASS' if bundle.passed else 'FAIL'}")

@@ -18,7 +18,7 @@ noise and the default tolerance is 1e-12.
 Sampling is seeded (stdlib Mersenne Twister, stable across platforms) and
 the seed is part of every report; the cocycle suite draws one stream of disk
 points that all three checks read.  Each check takes a sequence of
-CocycleParams and returns one IdentityCheck per entry, all on the same
+CocycleParams and returns one NumericCheck per entry, all on the same
 samples, whose points are named as in its formula.  Per block of samples
 it computes the phases once, then per s exponentiates each factor's column
 and multiplies the columns in declaration order: the floating-point
@@ -37,7 +37,7 @@ from functools import partial, reduce
 from operator import add, mul, neg, sub
 from typing import Callable
 
-from .reports import Residual, fold_max, worst_of
+from .reports import NumericCheck, Residual, fold_max
 
 # Samples per block of phase columns: columns of all 10^4 samples raised a
 # report-all process's peak RSS by about 5 MB, blocks of 500 by nothing.
@@ -150,20 +150,6 @@ OMEGA = Identity(
 IDENTITIES = (COCYCLE, SUMUP, OMEGA)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    s: float
-    samples: int
-    seed: int
-    radius: float
-    max_residual: float
-    parts: tuple  # (label, Residual) pairs
-
-    def passed(self, tol: float = 1e-12) -> bool:
-        return self.max_residual < tol
-
-
 def _lift(op):
     return lambda *columns: _Column(map(op, *columns))
 
@@ -182,14 +168,29 @@ class _Column(list):
         return _Column([constant * t for t in self])
 
 
+def _exp_or_nan(z):
+    """exp(z), or NaN where cmath.exp refuses an infinite imaginary part."""
+    try:
+        return cmath.exp(z)
+    except ValueError:
+        return complex(math.nan, math.nan)
+
+
 def _side(k, columns):
-    """The column of exp(k t_1) exp(k t_2) ... over one side's phase columns."""
+    """The column of exp(k t_1) exp(k t_2) ... over one side's phase columns.
+
+    A finite phase t can still overflow k t to an infinite imaginary part;
+    that factor is then NaN, so its residual is non-finite and fails."""
     exp = cmath.exp
-    return reduce(partial(map, mul), [[exp(k * t) for t in col] for col in columns])
+    try:
+        factors = [[exp(k * t) for t in col] for col in columns]
+    except ValueError:
+        factors = [[_exp_or_nan(k * t) for t in col] for col in columns]
+    return reduce(partial(map, mul), factors)
 
 
 def _identity_checks(identity, params, samples, seed, radius=2.0, points=None):
-    """One IdentityCheck per entry of params, all from one set of draws.
+    """One NumericCheck per entry of params, all from one set of draws.
 
     Sample i is the points i*n ... i*n + n - 1 (n = identity.npoints) of
     disk_points(Random(seed), ..., radius), so checks of one seed and radius
@@ -207,9 +208,8 @@ def _identity_checks(identity, params, samples, seed, radius=2.0, points=None):
     if len(points) < samples * n:
         raise ValueError(f"{len(points)} points cannot make {samples} "
                          f"samples of {n}")
-    params = tuple(params)
     ks = [-1j * p.s for p in params]
-    folds = [[(0.0, 0)] * len(identity.labels) for _ in params]
+    folds = [[(0.0, 0)] * len(identity.labels) for _ in ks]
     for start in range(0, samples, BLOCK):
         stop = min(start + BLOCK, samples)
         parts = identity.phases(*(_Column(points[start * n + i:stop * n:n])
@@ -218,12 +218,10 @@ def _identity_checks(identity, params, samples, seed, radius=2.0, points=None):
             for j, (lhs, rhs) in enumerate(parts):
                 best[j] = fold_max(best[j], map(abs, map(
                     sub, _side(k, lhs), _side(k, rhs))), start)
-    return [IdentityCheck(
-                identity.name, p.s, samples, seed, radius,
-                worst_of(r for r, _ in best),
-                tuple((label, Residual(r, tuple(points[at * n:(at + 1) * n])))
-                      for label, (r, at) in zip(identity.labels, best)))
-            for p, best in zip(params, folds)]
+    return [NumericCheck(identity.name, tuple(
+                (label, Residual(r, tuple(points[at * n:(at + 1) * n])))
+                for label, (r, at) in zip(identity.labels, best)))
+            for best in folds]
 
 
 def check_cocycle_identity(params, samples: int, seed: int,

@@ -380,19 +380,9 @@ class _Parser:
         saw_factor = False
         while True:
             tok = self.peek()
-            if tok.kind == "number":
-                self.next()
-                coeff = coeff * Scalar.of(self._fraction(tok))
-            elif tok.kind == "ident" and tok.text == "i":
-                self.next()
-                coeff = coeff * Scalar.imag_unit()
-            elif tok.kind == "ident" and tok.text == "q":
-                self.next()
-                k = 1
-                if self.peek().kind == "^":
-                    self.next()
-                    k = self._parse_signed_int()
-                coeff = coeff * Scalar.q_power(k)
+            factor = self._parse_scalar_factor()
+            if factor is not None:
+                coeff = coeff * factor
             elif tok.kind == "(":
                 self.next()
                 coeff = coeff * self._parse_scalar_sum()
@@ -440,27 +430,32 @@ class _Parser:
         except ZeroDivisionError:
             raise self.error("rational with zero denominator", tok)
 
+    def _parse_scalar_factor(self):
+        """A number, i or q^k as a Scalar; None if the next token is none
+        of them."""
+        tok = self.peek()
+        if tok.kind == "number":
+            self.next()
+            return Scalar.of(self._fraction(tok))
+        if tok.kind != "ident" or tok.text not in ("i", "q"):
+            return None
+        self.next()
+        if tok.text == "i":
+            return Scalar.imag_unit()
+        k = 1
+        if self.peek().kind == "^":
+            self.next()
+            k = self._parse_signed_int()
+        return Scalar.q_power(k)
+
     def _parse_scalar_product(self) -> Scalar:
         coeff = None
         while True:
-            tok = self.peek()
-            if tok.kind == "number":
-                self.next()
-                factor = Scalar.of(self._fraction(tok))
-            elif tok.kind == "ident" and tok.text == "i":
-                self.next()
-                factor = Scalar.imag_unit()
-            elif tok.kind == "ident" and tok.text == "q":
-                self.next()
-                k = 1
-                if self.peek().kind == "^":
-                    self.next()
-                    k = self._parse_signed_int()
-                factor = Scalar.q_power(k)
-            elif tok.kind == "*":
+            if self.peek().kind == "*":
                 self.next()
                 continue
-            else:
+            factor = self._parse_scalar_factor()
+            if factor is None:
                 break
             coeff = factor if coeff is None else coeff * factor
         if coeff is None:

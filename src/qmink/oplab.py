@@ -49,7 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .reports import Residual, fold_max, worst_of
+from .reports import NumericCheck, Residual, fold_max
 from .scalars import Scalar
 
 DEFAULT_BOX = 4.0
@@ -558,25 +558,8 @@ def op_norm_sample(a: ShiftMultiplierOperator, *, samples=1000, seed=0,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorCheck:
-    name: str
-    p: float
-    q: float
-    samples: int
-    seed: int
-    residuals: tuple  # (label, residual)
-
-    @property
-    def max_residual(self) -> float:
-        return worst_of(r for _, r in self.residuals)
-
-    def passed(self, tol: float = 1e-12) -> bool:
-        return self.max_residual < tol
-
-
 def check_def_mu2(model: PQModel, samples: int = 1000, seed: int = 0,
-                  box: float = DEFAULT_BOX) -> OperatorCheck:
+                  box: float = DEFAULT_BOX) -> NumericCheck:
     """The two z-transform identities defining a (p^2, q^2)-commuting pair:
 
         z(R) z(S*) = z_{pq}(S*) z_{q/p}(R)
@@ -589,9 +572,8 @@ def check_def_mu2(model: PQModel, samples: int = 1000, seed: int = 0,
                   compose(z_transform(Sstar, p * q), z_transform(R, q / p)), **kw)
     r2 = op_equal(compose(z_transform(R, q / p), z_transform(S)),
                   compose(z_transform(S, p * q), z_transform(R)), **kw)
-    return OperatorCheck("def-mu2", p, q, samples, seed,
-                         (("z(R)z(S*) = z_pq(S*)z_q/p(R)", r1),
-                          ("z_q/p(R)z(S) = z_pq(S)z(R)", r2)))
+    return NumericCheck("def-mu2", (("z(R)z(S*) = z_pq(S*)z_q/p(R)", r1),
+                                    ("z_q/p(R)z(S) = z_pq(S)z(R)", r2)))
 
 
 def build_Q(model: PQModel):
@@ -623,7 +605,7 @@ def _qq_star(Q):
 
 
 def check_QQstar(model: PQModel, samples: int = 1000, seed: int = 0,
-                 box: float = DEFAULT_BOX) -> OperatorCheck:
+                 box: float = DEFAULT_BOX) -> NumericCheck:
     """QQ* must be diagonal with the closed-form rational diagonal.
 
     With A = (p/q)^2 e^{2x}, B = e^{2y}:      (QQ*)_11 = (1+AB)/((1+A)(1+B));
@@ -648,14 +630,13 @@ def check_QQstar(model: PQModel, samples: int = 1000, seed: int = 0,
     r21 = op_equal(P[1][0], zero, **kw)
     r11 = op_equal(P[0][0], diagonal_form((p / q) ** 2, 1.0), **kw)
     r22 = op_equal(P[1][1], diagonal_form(1.0, (p * q) ** 2), **kw)
-    return OperatorCheck("QQ*", p, q, samples, seed,
-                         (("(QQ*)_12 = 0", r12), ("(QQ*)_21 = 0", r21),
-                          ("(QQ*)_11 closed form", r11),
-                          ("(QQ*)_22 closed form", r22)))
+    return NumericCheck("QQ*", (("(QQ*)_12 = 0", r12), ("(QQ*)_21 = 0", r21),
+                                ("(QQ*)_11 closed form", r11),
+                                ("(QQ*)_22 closed form", r22)))
 
 
 def check_twrs(model: PQModel, samples: int = 1000, seed: int = 0,
-               box: float = DEFAULT_BOX) -> OperatorCheck:
+               box: float = DEFAULT_BOX) -> NumericCheck:
     """RS = p^2 SR, RS* = q^2 S*R, and the joint-core identities
 
         RS (1-z(R)*z(R))^{1/2} (1-z(S)*z(S))^{1/2} = (p/q)  z_{q/p}(R) z(S)
@@ -673,9 +654,10 @@ def check_twrs(model: PQModel, samples: int = 1000, seed: int = 0,
     core2 = op_equal(compose(compose(S, R), dd),
                      compose(z_transform(S, p * q), z_transform(R)).scaled(1.0 / (p * q)),
                      **kw)
-    return OperatorCheck("twrs", p, q, samples, seed,
-                         (("RS = p^2 SR", r_comm), ("RS* = q^2 S*R", r_comm_star),
-                          ("core identity RS", core1), ("core identity SR", core2)))
+    return NumericCheck("twrs", (("RS = p^2 SR", r_comm),
+                                 ("RS* = q^2 S*R", r_comm_star),
+                                 ("core identity RS", core1),
+                                 ("core identity SR", core2)))
 
 
 # ---------------------------------------------------------------------------
@@ -697,27 +679,9 @@ def pq_from_pair_label(label_p: float, label_q: float, convention: str = "plain"
     raise ValueError("convention must be 'plain' or 'squared'")
 
 
-@dataclass(frozen=True)
-class ConsistencyCheck:
-    s: float
-    convention: str
-    p: float
-    q: float
-    samples: int
-    seed: int
-    residuals: tuple
-
-    @property
-    def max_residual(self) -> float:
-        return worst_of(r for _, r in self.residuals)
-
-    def passed(self, tol: float = 1e-12) -> bool:
-        return self.max_residual < tol
-
-
 def check_symbolic_consistency(s: float, *, convention: str = "plain",
                                samples: int = 1000, seed: int = 0,
-                               box: float = DEFAULT_BOX) -> ConsistencyCheck:
+                               box: float = DEFAULT_BOX) -> NumericCheck:
     """The operator model must reproduce the symbolic (x, w) constants.
 
     The symbolic layer says x w = t^-1 w x with t = q^-4 (q = e^{2s}); the
@@ -744,7 +708,7 @@ def check_symbolic_consistency(s: float, *, convention: str = "plain",
     bwd = Scalar.q_power(-exponent).eval(s)
     r_fwd = abs(p * p - fwd) / max(1.0, abs(fwd))
     r_bwd = abs(q * q - bwd) / max(1.0, abs(bwd))
-    return ConsistencyCheck(s, convention, p, q, samples, seed,
-                            (("RS = p^2 SR", r_ops), ("RS* = q^2 S*R", r_ops_star),
-                             (f"p^2 = eval(q^{exponent})", r_fwd),
-                             (f"q^2 = eval(q^-{exponent})", r_bwd)))
+    return NumericCheck("symbolic consistency",
+                        (("RS = p^2 SR", r_ops), ("RS* = q^2 S*R", r_ops_star),
+                         (f"p^2 = eval(q^{exponent})", r_fwd),
+                         (f"q^2 = eval(q^-{exponent})", r_bwd)))

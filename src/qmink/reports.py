@@ -67,6 +67,18 @@ def fold_max(best, col, start=0):
 
 
 @dataclass(frozen=True)
+class NumericCheck:
+    """A named numeric check: its (label, residual) parts, in order."""
+
+    name: str
+    parts: tuple
+
+    @property
+    def max_residual(self) -> float:
+        return worst_of(r for _, r in self.parts)
+
+
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool

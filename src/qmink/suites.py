@@ -158,10 +158,10 @@ def run_cocycle_suite(s_values=ACCEPTANCE_S_VALUES, samples: int = 10000,
                        seed, checks)
 
 
-def _numeric_checks(prefix, label, residuals, tol):
-    """One CheckResult per oplab residual."""
-    for ident, residual in residuals:
-        yield _residual_check(f"{prefix}: {ident} ({label})", residual, tol)
+def _numeric_checks(check, label, tol):
+    """One CheckResult per part of an oplab NumericCheck."""
+    for part, residual in check.parts:
+        yield _residual_check(f"{check.name}: {part} ({label})", residual, tol)
 
 
 def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
@@ -182,8 +182,7 @@ def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
                 for result in (oplab.check_def_mu2(model, samples, seed, box),
                                oplab.check_QQstar(model, samples, seed, box),
                                oplab.check_twrs(model, samples, seed, box)):
-                    checks.extend(_numeric_checks(result.name, label,
-                                                  result.residuals, tol))
+                    checks.extend(_numeric_checks(result, label, tol))
                 contraction = worst_of(
                     oplab.op_norm_sample(oplab.z_transform(op), samples=samples,
                                          seed=seed, box=box)
@@ -197,9 +196,7 @@ def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
         with oplab.shared_samples():
             result = oplab.check_symbolic_consistency(
                 s, convention=convention, samples=samples, seed=seed, box=box)
-        checks.extend(_numeric_checks("symbolic consistency",
-                                      f"s={s}, {convention}",
-                                      result.residuals, tol))
+        checks.extend(_numeric_checks(result, f"s={s}, {convention}", tol))
     return SuiteReport("pq",
                        {"pairs": [[p, q] for p, q in pairs], "samples": samples,
                         "tol": tol, "convention": convention, "box": box,

@@ -100,8 +100,8 @@ def test_criterion_6_operator_lab():
         if p == 1.0 and q == 1.0:
             # both commuting-pair identities, both off-diagonals, both
             # commutation relations, and both core identities: exactly zero
-            named = dict(mu2.residuals) | dict(twrs.residuals)
-            named |= {k: v for k, v in qq.residuals if "= 0" in k}
+            named = dict(mu2.parts) | dict(twrs.parts)
+            named |= {k: v for k, v in qq.parts if "= 0" in k}
             ok &= all(v == 0.0 for v in named.values())
     _report("6 operator-lab (mu2, QQ* diagonality and closed forms, "
             "commutation and core identities; 1e-12, (1,1) exact)", ok)

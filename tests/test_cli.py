@@ -1,11 +1,18 @@
 """CLI surface: normal forms, suite selection, exit codes, JSON contract."""
 
 import json
+import math
+import os
+import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import qmink
 from qmink.cli import main
 
 
@@ -260,6 +267,68 @@ def test_non_finite_cocycle_residuals_fail(capsys):
                                                    .split("[")[0]]
         assert check["detail"] == \
             f"first non-finite at ({', '.join(map(repr, first[:n]))})"
+
+
+@pytest.mark.parametrize("samples", [1, 1200])
+def test_an_overflowing_cocycle_factor_fails_its_check(capsys, samples):
+    """At radius 1e154 a phase t is finite but s t can overflow: that
+    factor is NaN, so its check fails and names the first such sample."""
+    import random
+
+    from qmink.cocycle import IDENTITIES, disk_points
+    code, out, err = run(capsys, "check", "cocycle", "--radius", "1e154",
+                         "--samples", str(samples), "--format", "json")
+    assert code == 1 and err == ""
+    report = json.loads(out, parse_constant=reject_constant)
+    jsonschema.validate(report, SCHEMA)
+    checks = report["reports"][0]["checks"]
+    assert len(checks) == 12 and all(c["status"] == "fail" for c in checks)
+    points = disk_points(random.Random(0), 4 * samples, 1e154)
+    identities = {identity.name: identity for identity in IDENTITIES}
+    overflowed = 0
+    for check in checks:
+        name, part, s = re.fullmatch(r"(\S+)\[(\S+)\] \(s=(\S+)\)",
+                                     check["name"]).groups()
+        identity = identities[name]
+        n, j = identity.npoints, identity.labels.index(part)
+        sample = [points[i * n:(i + 1) * n] for i in range(samples)]
+        overflow = [any(not math.isfinite(float(s) * t) for side in
+                        identity.phases(*pts)[j] for t in side)
+                    for pts in sample]
+        if any(overflow):
+            overflowed += 1
+            first = sample[overflow.index(True)]
+            assert check["residual"] is None
+            assert check["detail"] == \
+                f"first non-finite at ({', '.join(map(repr, first))})"
+        else:
+            assert check["detail"].startswith("worst at (")
+    assert overflowed == (0 if samples == 1 else 12)
+
+
+def _run_python(*argv):
+    """Run a fresh interpreter with qmink importable; its completed process."""
+    src = str(Path(qmink.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_normalize_loads_no_numeric_module():
+    proc = _run_python("-c", (
+        "import sys; from qmink.cli import main; "
+        "main(['normalize', 'lorentz', 'd a']); "
+        "print([m for m in ('qmink.oplab', 'qmink.cocycle', 'qmink.suites', "
+        "'qmink.reports', 'json') if m in sys.modules])"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1 + b c", "[]"]
+
+
+def test_demo_script_runs_and_passes():
+    proc = _run_python(str(Path(__file__).parents[1] / "scripts" / "demo.py"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "overall: PASS"
 
 
 # -- extreme numeric flags ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Parser, serializer, diagnostics, and the builtin transcriptions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from qmink.dsl import (BUILTIN_NAMES, DslError, _load_source, builtin, parse,
                        parse_expression, render_poly, serialize,
                        serialize_file)
-from qmink.ncalg import Presentation, check_local_confluence
+from qmink.ncalg import NCPolynomial, Presentation, check_local_confluence
+from qmink.scalars import Scalar
 
 
 def test_builtin_lorentz_has_eight_generators():
@@ -227,6 +229,28 @@ def test_parse_expression_complex_scalars():
     # words are listed in term order: b is lighter than a (a is heavy)
     assert rendered == "-2*i b + (1+i)*q^2 a"
     assert parse_expression(rendered, lor) == p
+
+
+SCALAR_FACTORS = {"3": Scalar.of(Fraction(3)), "1/2": Scalar.of(Fraction(1, 2)),
+                  "i": Scalar.imag_unit(), "q": Scalar.q_power(1),
+                  "q^2": Scalar.q_power(2), "q^-3": Scalar.q_power(-3)}
+
+
+@pytest.mark.parametrize("factor", SCALAR_FACTORS)
+def test_every_scalar_factor_round_trips_bare_and_in_parentheses(factor):
+    want = SCALAR_FACTORS[factor]
+    for coeff, scale in ((factor, 1), (f"({factor})", 1), (f"2 {factor}", 2),
+                         (f"(2*{factor})", 2)):
+        src = f"algebra t {{\n  gen u v;\n  rel v u = {coeff} u v;\n}}\n"
+        parsed = parse(src)
+        pres = parsed.presentations["t"]
+        uv = (pres.index_of("u"), pres.index_of("v"))
+        assert pres.rules[0].rhs == NCPolynomial.word(
+            uv, Scalar.of(Fraction(scale)) * want)
+        text = serialize_file(parsed)
+        again = parse(text)
+        assert again.presentations == parsed.presentations
+        assert serialize_file(again) == text
 
 
 # -- grammar fuzz -------------------------------------------------------------

@@ -210,7 +210,7 @@ def test_QQstar_residuals():
         m = build_pq_pair(p, q)
         result = check_QQstar(m, samples=500, seed=7)
         assert result.max_residual < 1e-12
-        named = dict(result.residuals)
+        named = dict(result.parts)
         if p == q == 1.0:
             assert named["(QQ*)_12 = 0"] == 0.0
             assert named["(QQ*)_21 = 0"] == 0.0
@@ -270,7 +270,7 @@ def test_symbolic_consistency_plain():
     for s in (0.3, 0.7, 1.1):
         result = check_symbolic_consistency(s, samples=300, seed=3)
         assert result.max_residual < 1e-12
-        assert result.convention == "plain"
+        assert "p^2 = eval(q^4)" in dict(result.parts)  # plain: q^4, not q^8
 
 
 def test_symbolic_consistency_squared_convention():
@@ -667,7 +667,7 @@ def model_residuals(p, q, samples, seed):
     m = build_pq_pair(p, q)
     out = []
     for check in (check_def_mu2, check_QQstar, check_twrs):
-        out.extend(check(m, samples, seed).residuals)
+        out.extend(check(m, samples, seed).parts)
     out.extend(("contraction", op_norm_sample(z_transform(op), samples=samples,
                                               seed=seed)) for op in (m.R, m.S))
     return [(label, r, getattr(r, "at", None)) for label, r in out]
@@ -690,8 +690,8 @@ def test_model_scope_gives_the_per_call_residuals():
         with shared_samples():
             scoped = check_symbolic_consistency(s, samples=300, seed=6)
         assert scoped == alone
-        assert [getattr(r, "at", None) for _, r in scoped.residuals] == \
-            [getattr(r, "at", None) for _, r in alone.residuals]
+        assert [getattr(r, "at", None) for _, r in scoped.parts] == \
+            [getattr(r, "at", None) for _, r in alone.parts]
 
 
 def test_model_scope_shares_columns_per_sample_set_only():
@@ -783,9 +783,9 @@ def test_exact_zeros_at_p_q_one_come_from_structure(monkeypatch):
         for i in same:
             a, b = sides[i]
             assert a.atoms == b.atoms and a.atoms
-            assert result.residuals[i][1] == 0.0
+            assert result.parts[i][1] == 0.0
     sides, result = _recorded_sides(monkeypatch, lambda: check_QQstar(m, 50, 1))
-    named = dict(result.residuals)
+    named = dict(result.parts)
     for (a, b), label in zip(sides[:2], ("(QQ*)_12 = 0", "(QQ*)_21 = 0")):
         assert a.is_zero() and b.is_zero() and named[label] == 0.0
 
