@@ -103,12 +103,12 @@ def cmd_check(args) -> int:
             if not path.exists():
                 raise DslError(f"no such file: {args.file}")
             presentations = _file_presentations(path)
+            if args.algebra is not None:
+                if args.algebra not in presentations:
+                    raise DslError(f"no algebra named {args.algebra!r}")
+                presentations = {args.algebra: presentations[args.algebra]}
         elif args.algebra is not None:
             presentations = {args.algebra: _builtin_presentation(args.algebra)}
-        if args.algebra is not None:
-            if args.algebra not in presentations:
-                raise DslError(f"no algebra named {args.algebra!r}")
-            presentations = {args.algebra: presentations[args.algebra]}
         report = suites.timed(lambda: suites.run_presentation_suite(
             **samples, seed=args.seed, presentations=presentations))
     elif which == "hopf":
@@ -130,8 +130,7 @@ def cmd_check(args) -> int:
                  else list(suites.ACCEPTANCE_PQ_PAIRS))
         s_values = args.s if args.s else list(suites.ACCEPTANCE_S_VALUES)
         report = suites.timed(lambda: suites.run_pq_suite(
-            pairs=pairs, **samples, seed=args.seed, tol=tol,
-            convention=args.pq_convention, s_values=s_values))
+            pairs=pairs, **samples, seed=args.seed, tol=tol, s_values=s_values))
     else:  # pragma: no cover - argparse restricts choices
         raise DslError(f"unknown check {which!r}")
     return _emit(ReportBundle([report], seed=args.seed), args.format)
@@ -140,8 +139,7 @@ def cmd_check(args) -> int:
 def cmd_report_all(args) -> int:
     from . import suites
     bundle = suites.run_all(**_samples(args), cocycle_samples=args.cocycle_samples,
-                            seed=args.seed, tol=_tol(args),
-                            convention=args.pq_convention)
+                            seed=args.seed, tol=_tol(args))
     return _emit(bundle, args.format)
 
 
@@ -153,10 +151,6 @@ def _add_common(parser):
     parser.add_argument("--tol", type=float, default=1e-12,
                         help="pass/fail residual threshold")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--pq-convention", choices=("plain", "squared"),
-                        default="plain",
-                        help="how '(P,Q)-commuting' labels are read: as the "
-                             "squares themselves (plain) or as p, q (squared)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -87,20 +87,28 @@ def dual_pairing(z1: complex, z2: complex) -> complex:
     return cmath.exp(1j * dual_phase(z1, z2))
 
 
+def _exp_or_nan(z):
+    """exp(z), or NaN where cmath.exp refuses an infinite imaginary part."""
+    try:
+        return cmath.exp(z)
+    except ValueError:
+        return complex(math.nan, math.nan)
+
+
 def psi(params: CocycleParams, z1: complex, z2: complex) -> complex:
-    return cmath.exp(-1j * params.s * psi_phase(z1, z2))
+    return _exp_or_nan(-1j * params.s * psi_phase(z1, z2))
 
 
 def psi_tilde(params: CocycleParams, z1: complex, z2: complex) -> complex:
-    return cmath.exp(-1j * params.s * psi_tilde_phase(z1, z2))
+    return _exp_or_nan(-1j * params.s * psi_tilde_phase(z1, z2))
 
 
 def psi_star(params: CocycleParams, z1: complex, z2: complex) -> complex:
-    return cmath.exp(-1j * params.s * psi_star_phase(z1, z2))
+    return _exp_or_nan(-1j * params.s * psi_star_phase(z1, z2))
 
 
 def omega(params: CocycleParams, z: complex) -> complex:
-    return cmath.exp(-1j * params.s * omega_phase(z))
+    return _exp_or_nan(-1j * params.s * omega_phase(z))
 
 
 def disk_points(rng: random.Random, n: int, radius: float):
@@ -166,14 +174,6 @@ class _Column(list):
 
     def __rmul__(self, constant):
         return _Column([constant * t for t in self])
-
-
-def _exp_or_nan(z):
-    """exp(z), or NaN where cmath.exp refuses an infinite imaginary part."""
-    try:
-        return cmath.exp(z)
-    except ValueError:
-        return complex(math.nan, math.nan)
 
 
 def _side(k, columns):

@@ -453,12 +453,12 @@ def critical_superpositions(pres: Presentation):
                     yield r1, r2, l1, 0, pos
 
 
-def check_local_confluence(pres: Presentation, *, step_limit=DEFAULT_STEP_LIMIT):
+def check_local_confluence(pres: Presentation):
     """Complete every overlap both ways; return the unresolved critical pairs."""
     unresolved = []
     for r1, r2, word, p1, p2 in critical_superpositions(pres):
-        t1 = pres.normalize(_reduce_once_at(word, r1, p1), step_limit=step_limit)
-        t2 = pres.normalize(_reduce_once_at(word, r2, p2), step_limit=step_limit)
+        t1 = pres.normalize(_reduce_once_at(word, r1, p1))
+        t2 = pres.normalize(_reduce_once_at(word, r2, p2))
         if t1 != t2:
             unresolved.append(CriticalPair(r1, r2, word, t1, t2))
     return unresolved

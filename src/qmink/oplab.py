@@ -26,15 +26,15 @@ p = q = 1, where every shift is zero, this is why def-mu2, twrs and
 (QQ*)_12, (QQ*)_21 hold exactly, not by an evaluation order.
 
 Residuals compare multipliers bucket-by-bucket over seeded sample points in
-a box, scaled by max(1, |value|) so the 1e-12 tolerance is meaningful for
-multipliers as large as e^8 * pq on the default [-4,4]^2 box.
+the box [-BOX, BOX]^2 = [-4,4]^2, scaled by max(1, |value|) so the 1e-12
+tolerance is meaningful for multipliers as large as e^8 * pq there.
 
 Evaluation is column-wise: a multiplier maps the column of sample points to
 a column of values, node by node, with a memo that holds one column per
 distinct node (and one per distinct exponential).  Alone, a comparison
 (`op_equal`, `op_norm_sample`) draws its points and fills its memo for
 itself.  Inside a `shared_samples` block, which the pq suite enters once
-per model, every comparison with the same (samples, seed, box) shares one
+per model, every comparison with the same (samples, seed) shares one
 set of sample columns and one memo, so the nodes common to a model's checks
 are evaluated once; both go when the block ends.  Equal nodes hold equal
 fields, so a value never depends on which of them filled the memo.
@@ -52,7 +52,7 @@ from operator import attrgetter
 from .reports import NumericCheck, Residual, fold_max
 from .scalars import Scalar
 
-DEFAULT_BOX = 4.0
+BOX = 4.0
 DEFAULT_SHIFT_TOL = 1e-9
 
 
@@ -436,7 +436,7 @@ def build_pq_pair(p: float, q: float) -> PQModel:
 # ---------------------------------------------------------------------------
 
 
-# (samples, seed, box) -> (xs, ys, memo) inside a `shared_samples` block;
+# (samples, seed) -> (xs, ys, memo) inside a `shared_samples` block;
 # None outside one.  The suites run in one thread.
 _scope = None
 
@@ -446,7 +446,7 @@ def shared_samples():
     """A block whose comparisons share sample columns and column memos.
 
     Inside it, every `op_equal` and `op_norm_sample` with the same
-    (samples, seed, box) draws its points once and fills one memo, so a
+    (samples, seed) draws its points once and fills one memo, so a
     subtree common to several comparisons is evaluated once.  Both are
     dropped when the block ends; a nested block starts afresh.
     """
@@ -458,20 +458,20 @@ def shared_samples():
         _scope = outer
 
 
-def _sample_columns(samples, seed, box):
+def _sample_columns(samples, seed):
     """Seeded sample points in the box, as the columns (xs, ys), and the
     column memo that goes with them (shared inside `shared_samples`)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     scope = _scope
-    key = (samples, seed, box)
+    key = (samples, seed)
     if scope is not None and key in scope:
         return scope[key]
     rng = random.Random(seed)
     xs, ys = [], []
     for _ in range(samples):
-        xs.append(rng.uniform(-box, box))
-        ys.append(rng.uniform(-box, box))
+        xs.append(rng.uniform(-BOX, BOX))
+        ys.append(rng.uniform(-BOX, BOX))
     columns = xs, ys, {}
     if scope is not None:
         scope[key] = columns
@@ -514,7 +514,7 @@ def _match_buckets(a, b, shift_tol):
 
 
 def op_equal(a: ShiftMultiplierOperator, b: ShiftMultiplierOperator, *,
-             samples: int = 1000, seed: int = 0, box: float = DEFAULT_BOX,
+             samples: int = 1000, seed: int = 0,
              shift_tol: float = DEFAULT_SHIFT_TOL) -> Residual:
     """Scaled residual of operator equality.
 
@@ -525,7 +525,7 @@ def op_equal(a: ShiftMultiplierOperator, b: ShiftMultiplierOperator, *,
     memo for the whole comparison, or for the enclosing `shared_samples`
     block.
     """
-    xs, ys, memo = _sample_columns(samples, seed, box)
+    xs, ys, memo = _sample_columns(samples, seed)
     pairs, only_a, only_b = _match_buckets(a, b, shift_tol)
     best = (0.0, 0)
     for va, vb in pairs:
@@ -540,11 +540,11 @@ def op_equal(a: ShiftMultiplierOperator, b: ShiftMultiplierOperator, *,
     return Residual(worst, (xs[at], ys[at]))
 
 
-def op_norm_sample(a: ShiftMultiplierOperator, *, samples=1000, seed=0,
-                   box=DEFAULT_BOX) -> Residual:
+def op_norm_sample(a: ShiftMultiplierOperator, *, samples=1000,
+                   seed=0) -> Residual:
     """Max multiplier magnitude over sample points (0 for the zero operator;
     the first NaN or inf if there is one), at the first point attaining it."""
-    xs, ys, memo = _sample_columns(samples, seed, box)
+    xs, ys, memo = _sample_columns(samples, seed)
     best = (0.0, 0)
     for f in a.atoms.values():
         (col,) = _columns((f,), xs, ys, memo)
@@ -558,8 +558,8 @@ def op_norm_sample(a: ShiftMultiplierOperator, *, samples=1000, seed=0,
 # ---------------------------------------------------------------------------
 
 
-def check_def_mu2(model: PQModel, samples: int = 1000, seed: int = 0,
-                  box: float = DEFAULT_BOX) -> NumericCheck:
+def check_def_mu2(model: PQModel, samples: int = 1000,
+                  seed: int = 0) -> NumericCheck:
     """The two z-transform identities defining a (p^2, q^2)-commuting pair:
 
         z(R) z(S*) = z_{pq}(S*) z_{q/p}(R)
@@ -567,7 +567,7 @@ def check_def_mu2(model: PQModel, samples: int = 1000, seed: int = 0,
     """
     p, q, R, S = model.p, model.q, model.R, model.S
     Sstar = adjoint(S)
-    kw = dict(samples=samples, seed=seed, box=box)
+    kw = dict(samples=samples, seed=seed)
     r1 = op_equal(compose(z_transform(R), z_transform(Sstar)),
                   compose(z_transform(Sstar, p * q), z_transform(R, q / p)), **kw)
     r2 = op_equal(compose(z_transform(R, q / p), z_transform(S)),
@@ -604,8 +604,8 @@ def _qq_star(Q):
     return out
 
 
-def check_QQstar(model: PQModel, samples: int = 1000, seed: int = 0,
-                 box: float = DEFAULT_BOX) -> NumericCheck:
+def check_QQstar(model: PQModel, samples: int = 1000,
+                 seed: int = 0) -> NumericCheck:
     """QQ* must be diagonal with the closed-form rational diagonal.
 
     With A = (p/q)^2 e^{2x}, B = e^{2y}:      (QQ*)_11 = (1+AB)/((1+A)(1+B));
@@ -616,7 +616,7 @@ def check_QQstar(model: PQModel, samples: int = 1000, seed: int = 0,
     """
     p, q = model.p, model.q
     P = _qq_star(build_Q(model))
-    kw = dict(samples=samples, seed=seed, box=box)
+    kw = dict(samples=samples, seed=seed)
 
     def diagonal_form(ax: float, by: float):
         A = Const(ax) * ExpLin(2.0, 0.0)
@@ -635,15 +635,15 @@ def check_QQstar(model: PQModel, samples: int = 1000, seed: int = 0,
                                 ("(QQ*)_22 closed form", r22)))
 
 
-def check_twrs(model: PQModel, samples: int = 1000, seed: int = 0,
-               box: float = DEFAULT_BOX) -> NumericCheck:
+def check_twrs(model: PQModel, samples: int = 1000,
+               seed: int = 0) -> NumericCheck:
     """RS = p^2 SR, RS* = q^2 S*R, and the joint-core identities
 
         RS (1-z(R)*z(R))^{1/2} (1-z(S)*z(S))^{1/2} = (p/q)  z_{q/p}(R) z(S)
         SR (1-z(R)*z(R))^{1/2} (1-z(S)*z(S))^{1/2} = 1/(pq) z_{pq}(S) z(R)
     """
     p, q, R, S = model.p, model.q, model.R, model.S
-    kw = dict(samples=samples, seed=seed, box=box)
+    kw = dict(samples=samples, seed=seed)
     Sstar = adjoint(S)
     r_comm = op_equal(compose(R, S), compose(S, R).scaled(p * p), **kw)
     r_comm_star = op_equal(compose(R, Sstar), compose(Sstar, R).scaled(q * q), **kw)
@@ -665,50 +665,35 @@ def check_twrs(model: PQModel, samples: int = 1000, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def pq_from_pair_label(label_p: float, label_q: float, convention: str = "plain"):
-    """Translate a "(P, Q)-commuting" label into model parameters (p, q).
-
-    convention="plain" (default): the label already names the squares,
-    p^2 = P and q^2 = Q.  convention="squared": the label names p and q
-    themselves.
-    """
-    if convention == "plain":
-        return math.sqrt(label_p), math.sqrt(label_q)
-    if convention == "squared":
-        return float(label_p), float(label_q)
-    raise ValueError("convention must be 'plain' or 'squared'")
-
-
-def check_symbolic_consistency(s: float, *, convention: str = "plain",
-                               samples: int = 1000, seed: int = 0,
-                               box: float = DEFAULT_BOX) -> NumericCheck:
+def check_symbolic_consistency(s: float, *, samples: int = 1000,
+                               seed: int = 0) -> NumericCheck:
     """The operator model must reproduce the symbolic (x, w) constants.
 
     The symbolic layer says x w = t^-1 w x with t = q^-4 (q = e^{2s}); the
-    matching model takes the pair label (t^-1, t).  The check compares the
-    model's commutation constants against the formally evaluated Laurent
-    scalars q^{+-4} (or q^{+-8} under the squared convention).
+    matching model takes the pair label (t^-1, t), which names the squares
+    of a (p^2, q^2)-commuting pair: p^2 = t^-1, q^2 = t.  The check compares
+    the model's commutation constants against the formally evaluated
+    Laurent scalars q^{+-4}.
     """
     try:
         t = math.exp(-8.0 * s)
         if not (0.0 < t < math.inf and 1.0 / t < math.inf):
             raise OverflowError(f"t = exp(-8 s) = {t!r}")
-        p, q = pq_from_pair_label(1.0 / t, t, convention)
+        p, q = math.sqrt(1.0 / t), math.sqrt(t)
         model = build_pq_pair(p, q)
     except OverflowError as exc:
         raise ValueError(f"s={s!r} is outside the model's double-precision "
                          f"range ({exc})") from None
-    kw = dict(samples=samples, seed=seed, box=box)
+    kw = dict(samples=samples, seed=seed)
     r_ops = op_equal(compose(model.R, model.S),
                      compose(model.S, model.R).scaled(p * p), **kw)
     r_ops_star = op_equal(compose(model.R, adjoint(model.S)),
                           compose(adjoint(model.S), model.R).scaled(q * q), **kw)
-    exponent = 4 if convention == "plain" else 8
-    fwd = Scalar.q_power(exponent).eval(s)
-    bwd = Scalar.q_power(-exponent).eval(s)
+    fwd = Scalar.q_power(4).eval(s)
+    bwd = Scalar.q_power(-4).eval(s)
     r_fwd = abs(p * p - fwd) / max(1.0, abs(fwd))
     r_bwd = abs(q * q - bwd) / max(1.0, abs(bwd))
     return NumericCheck("symbolic consistency",
                         (("RS = p^2 SR", r_ops), ("RS* = q^2 S*R", r_ops_star),
-                         (f"p^2 = eval(q^{exponent})", r_fwd),
-                         (f"q^2 = eval(q^-{exponent})", r_bwd)))
+                         ("p^2 = eval(q^4)", r_fwd),
+                         ("q^2 = eval(q^-4)", r_bwd)))

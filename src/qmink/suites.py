@@ -20,6 +20,7 @@ from .reports import (CheckResult, ReportBundle, Residual, SuiteReport,
 ACCEPTANCE_S_VALUES = (0.3, 0.7, 1.1)
 ACCEPTANCE_PQ_PAIRS = ((1.0, 1.0), (2.0, 3.0), (0.5, math.e))
 DEFAULT_TOL = 1e-12
+ORACLE_MAX_LEN = 8  # longest random word the dual-strategy oracle draws
 
 
 def timed(fn):
@@ -40,14 +41,15 @@ def _symbolic_check(name, report) -> CheckResult:
                               f"first at {worst.label}: {worst.rendered}")
 
 
-def dual_strategy_agreement(pres, samples: int, seed: int, max_len: int = 8):
-    """Normalize random words with the deterministic and a seeded random
-    strategy; confluent presentations must agree exactly."""
+def dual_strategy_agreement(pres, samples: int, seed: int):
+    """Normalize random words of up to ORACLE_MAX_LEN letters with the
+    deterministic and a seeded random strategy; confluent presentations
+    must agree exactly."""
     rng = random.Random(seed)
     n = len(pres.generators)
     mismatches = 0
     for k in range(samples):
-        word = tuple(rng.randrange(n) for _ in range(rng.randint(0, max_len)))
+        word = tuple(rng.randrange(n) for _ in range(rng.randint(0, ORACLE_MAX_LEN)))
         poly = NCPolynomial.word(word)
         nf_det = pres.normalize(poly)
         nf_rand = pres.normalize(poly, rng=random.Random(seed * 1000003 + k))
@@ -57,7 +59,7 @@ def dual_strategy_agreement(pres, samples: int, seed: int, max_len: int = 8):
 
 
 def run_presentation_suite(samples: int = 1000, seed: int = 0,
-                           max_len: int = 8, presentations=None) -> SuiteReport:
+                           presentations=None) -> SuiteReport:
     """Termination, local confluence, and the dual-strategy oracle.
 
     By default runs on the builtin quantum presentations; pass a dict of
@@ -76,11 +78,12 @@ def run_presentation_suite(samples: int = 1000, seed: int = 0,
         pairs = check_local_confluence(pres)
         checks.append(CheckResult(f"{name}: local confluence", not pairs,
                                   detail=f"{len(pairs)} unresolved critical pairs"))
-        bad = dual_strategy_agreement(pres, samples, seed, max_len)
+        bad = dual_strategy_agreement(pres, samples, seed)
         checks.append(CheckResult(
             f"{name}: dual-strategy normal forms", bad == 0,
             detail=f"{bad} disagreements over {samples} random words"))
-    return SuiteReport("presentation", {"samples": samples, "max_len": max_len},
+    return SuiteReport("presentation",
+                       {"samples": samples, "max_len": ORACLE_MAX_LEN},
                        seed, checks)
 
 
@@ -165,9 +168,10 @@ def _numeric_checks(check, label, tol):
 
 
 def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
-                 tol: float = DEFAULT_TOL, convention: str = "plain",
-                 s_values=ACCEPTANCE_S_VALUES, box: float = 4.0) -> SuiteReport:
-    """The (p,q) model identities per pair, then the symbolic bridge per s.
+                 tol: float = DEFAULT_TOL,
+                 s_values=ACCEPTANCE_S_VALUES) -> SuiteReport:
+    """The (p,q) model identities per pair, then the symbolic bridge per s,
+    which reads the label (t^-1, t) as p^2, q^2 (the report's "plain").
 
     The checks of one model share sample columns and a column memo
     (`oplab.shared_samples`), which end with that model's block.  A pair
@@ -179,13 +183,13 @@ def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
         try:
             with oplab.shared_samples():
                 model = oplab.build_pq_pair(p, q)
-                for result in (oplab.check_def_mu2(model, samples, seed, box),
-                               oplab.check_QQstar(model, samples, seed, box),
-                               oplab.check_twrs(model, samples, seed, box)):
+                for result in (oplab.check_def_mu2(model, samples, seed),
+                               oplab.check_QQstar(model, samples, seed),
+                               oplab.check_twrs(model, samples, seed)):
                     checks.extend(_numeric_checks(result, label, tol))
                 contraction = worst_of(
                     oplab.op_norm_sample(oplab.z_transform(op), samples=samples,
-                                         seed=seed, box=box)
+                                         seed=seed)
                     for op in (model.R, model.S))
         except OverflowError as exc:
             raise ValueError(f"p={p!r}, q={q!r} is outside the model's "
@@ -194,18 +198,18 @@ def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
                                       contraction, 1.0))
     for s in s_values:
         with oplab.shared_samples():
-            result = oplab.check_symbolic_consistency(
-                s, convention=convention, samples=samples, seed=seed, box=box)
-        checks.extend(_numeric_checks(result, f"s={s}, {convention}", tol))
+            result = oplab.check_symbolic_consistency(s, samples=samples,
+                                                      seed=seed)
+        checks.extend(_numeric_checks(result, f"s={s}, plain", tol))
     return SuiteReport("pq",
                        {"pairs": [[p, q] for p, q in pairs], "samples": samples,
-                        "tol": tol, "convention": convention, "box": box,
+                        "tol": tol, "convention": "plain", "box": oplab.BOX,
                         "s_values": list(s_values)},
                        seed, checks)
 
 
 def run_all(samples: int = 1000, cocycle_samples: int = 10000, seed: int = 0,
-            tol: float = DEFAULT_TOL, convention: str = "plain") -> ReportBundle:
+            tol: float = DEFAULT_TOL) -> ReportBundle:
     """Run the five suites in order.
 
     The suites are pure Python and hold the interpreter lock throughout, so
@@ -215,7 +219,6 @@ def run_all(samples: int = 1000, cocycle_samples: int = 10000, seed: int = 0,
         run_hopf_suite,
         run_coaction_suite,
         lambda: run_cocycle_suite(samples=cocycle_samples, seed=seed, tol=tol),
-        lambda: run_pq_suite(samples=samples, seed=seed, tol=tol,
-                             convention=convention),
+        lambda: run_pq_suite(samples=samples, seed=seed, tol=tol),
     )
     return ReportBundle([timed(job) for job in jobs], seed=seed)

@@ -33,8 +33,7 @@ def test_criterion_1_presentation_integrity():
         ok &= pres.star_closed
         ok &= check_termination(pres).ok
         ok &= check_local_confluence(pres) == []
-        ok &= dual_strategy_agreement(pres, samples=1000, seed=2024,
-                                      max_len=8) == 0
+        ok &= dual_strategy_agreement(pres, samples=1000, seed=2024) == 0
     _report("1 presentation-integrity (termination, confluence, "
             "dual-strategy oracle)", ok)
 
@@ -110,8 +109,7 @@ def test_criterion_6_operator_lab():
 def test_criterion_7_cross_layer_consistency():
     ok = True
     for s in S_VALUES:
-        result = oplab.check_symbolic_consistency(s, convention="plain",
-                                                  samples=1000, seed=7)
+        result = oplab.check_symbolic_consistency(s, samples=1000, seed=7)
         ok &= result.max_residual < TOL
     _report("7 cross-layer consistency (p^2 = t^-1, q^2 = t vs symbolic "
             "q^{+-4}; 1e-12)", ok)

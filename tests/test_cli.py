@@ -1,5 +1,7 @@
 """CLI surface: normal forms, suite selection, exit codes, JSON contract."""
 
+import argparse
+import hashlib
 import json
 import math
 import os
@@ -13,7 +15,7 @@ import jsonschema
 import pytest
 
 import qmink
-from qmink.cli import main
+from qmink.cli import build_parser, main
 
 
 SCHEMA = json.loads(
@@ -108,6 +110,23 @@ def test_report_all_is_byte_deterministic(capsys):
     assert out1 == out2
 
 
+# sha256 of suites.run_all(seed=1).to_json() as json.dumps writes it, with
+# every check's residual dropped: the suites, check names, inputs, statuses
+# and details, which must not change silently (residuals depend on libm).
+REPORT_SHAPE_SHA256 = \
+    "ac6783bd30bc6fbe6d40f0ddb1bd5f3803c4be6baa31196bd2d06bc66e991d20"
+
+
+def test_report_shape_is_pinned():
+    from qmink import suites
+    doc = suites.run_all(seed=1).to_json()
+    for report in doc["reports"]:
+        for check in report["checks"]:
+            check.pop("residual", None)
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == REPORT_SHAPE_SHA256
+
+
 def test_report_all_json_validates_against_shipped_schema(capsys):
     code, out, _ = run(capsys, "report-all", "--samples", "100",
                        "--cocycle-samples", "200", "--format", "json")
@@ -133,6 +152,30 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "everything"])
     assert exc.value.code == 2
+
+
+def test_pq_convention_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "pq", "--pq-convention", "plain"])
+    assert exc.value.code == 2
+
+
+def long_options(parser) -> set:
+    """Every --long option of parser and its subcommands, --help aside."""
+    found = set()
+    for action in parser._actions:
+        found.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= long_options(sub)
+    return found - {"--help"}
+
+
+def test_readme_cli_section_names_every_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert named == long_options(build_parser())
 
 
 def test_pq_requires_both_parameters(capsys):
@@ -189,9 +232,16 @@ def test_check_presentation_single_builtin_algebra(capsys):
     assert "minkowski" not in out
 
 
-def test_check_presentation_unknown_algebra(capsys):
+def test_check_presentation_unknown_algebra(tmp_path, capsys):
     code, _, err = run(capsys, "check", "presentation", "--algebra", "nope")
     assert code == 2
+    f = tmp_path / "plane.qalg"
+    f.write_text("algebra plane {\n  gen u v;\n  rel v u = q^2 u v;\n}\n")
+    code, out, err = run(capsys, "check", "presentation", "--file", str(f),
+                         "--algebra", "nope")
+    assert code == 2
+    assert err.strip() == "qmink: no algebra named 'nope'"
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -73,6 +73,23 @@ def test_omega_values():
     assert omega(CocycleParams(0.0), 2 - 1j) == 1.0
 
 
+def test_point_values_are_nan_where_the_phase_overflows():
+    """The suite's overflow rule: a finite phase t whose s t overflows gives
+    NaN, not a math domain error; an ordinary point is exp(-i s t) exactly."""
+    z1, z2, z = 1.3e154j, 1.3e154, complex(9.2e153, 9.2e153)
+    big, big3 = CocycleParams(1.1), CocycleParams(3.0)
+    values = (psi(big, z1, z2), psi_tilde(big, z1, z2), psi_star(big, z1, z2),
+              omega(big3, z))
+    assert all(math.isnan(v.real) and math.isnan(v.imag) for v in values)
+    u, v = 0.3 - 1.2j, -0.7 + 0.4j
+    for f, phase, args in ((psi, cocycle.psi_phase, (u, v)),
+                           (psi_tilde, cocycle.psi_tilde_phase, (u, v)),
+                           (psi_star, cocycle.psi_star_phase, (u, v)),
+                           (omega, cocycle.omega_phase, (u,))):
+        want = cmath.exp(-1j * S.s * phase(*args))
+        assert repr(f(S, *args)) == repr(want)
+
+
 @settings(max_examples=50, deadline=None)
 @given(complex_points, complex_points)
 def test_all_values_are_unimodular(z1, z2):

@@ -12,8 +12,8 @@ from qmink.oplab import (ZERO, Add, Const, Div, ExpLin, Mul, PositivityError,
                          ShiftMultiplierOperator, Sqrt, adjoint, build_Q,
                          build_pq_pair, check_QQstar, check_def_mu2,
                          check_symbolic_consistency, check_twrs, compose,
-                         defect_sqrt, op_equal, op_norm_sample, pq_from_pair_label,
-                         shared_samples, z_transform)
+                         defect_sqrt, op_equal, op_norm_sample, shared_samples,
+                         z_transform)
 
 PAIRS = ((1.0, 1.0), (2.0, 3.0), (0.5, math.e))
 
@@ -256,27 +256,11 @@ def test_twrs_on_a_gaussian_bump():
 # -- bridge to the symbolic layer -----------------------------------------------
 
 
-def test_pair_label_conventions():
-    t = 0.25
-    p, q = pq_from_pair_label(1 / t, t, "plain")
-    assert (p * p, q * q) == pytest.approx((1 / t, t))
-    p, q = pq_from_pair_label(1 / t, t, "squared")
-    assert (p, q) == (1 / t, t)
-    with pytest.raises(ValueError):
-        pq_from_pair_label(1.0, 1.0, "cubed")
-
-
 def test_symbolic_consistency_plain():
     for s in (0.3, 0.7, 1.1):
         result = check_symbolic_consistency(s, samples=300, seed=3)
         assert result.max_residual < 1e-12
-        assert "p^2 = eval(q^4)" in dict(result.parts)  # plain: q^4, not q^8
-
-
-def test_symbolic_consistency_squared_convention():
-    result = check_symbolic_consistency(0.3, convention="squared",
-                                        samples=300, seed=3)
-    assert result.max_residual < 1e-12
+        assert "p^2 = eval(q^4)" in dict(result.parts)  # p^2 = t^-1 = q^4
 
 
 def test_identities_across_a_wider_parameter_sweep():
@@ -349,9 +333,9 @@ def oracle_eval(e, x, y):
     raise TypeError(f"unknown node {e!r}")
 
 
-def oracle_points(samples, seed, box=4.0):
+def oracle_points(samples, seed):
     rng = random.Random(seed)
-    return [(rng.uniform(-box, box), rng.uniform(-box, box))
+    return [(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
             for _ in range(samples)]
 
 
@@ -420,7 +404,7 @@ def test_column_values_match_oracle_on_every_pq_suite_operator(monkeypatch):
     assert len(seen) > 40
     shared = {}  # one memo per model block and sample set, as the suite uses
     for a, b, kw, model in seen:
-        pts = oracle_points(kw["samples"], kw["seed"], kw.get("box", 4.0))
+        pts = oracle_points(kw["samples"], kw["seed"])
         xs, ys = [x for x, _ in pts], [y for _, y in pts]
         memo = {}  # one memo per comparison, as op_equal uses alone
         model_memo = shared.setdefault((id(model), kw["samples"]), {})
@@ -697,17 +681,15 @@ def test_model_scope_gives_the_per_call_residuals():
 def test_model_scope_shares_columns_per_sample_set_only():
     import qmink.oplab as oplab
     with shared_samples():
-        first = oplab._sample_columns(50, 1, 4.0)
-        assert oplab._sample_columns(50, 1, 4.0) is first
-        assert oplab._sample_columns(50, 2, 4.0) is not first
-        assert oplab._sample_columns(60, 1, 4.0) is not first
-        assert oplab._sample_columns(50, 1, 3.0) is not first
+        first = oplab._sample_columns(50, 1)
+        assert oplab._sample_columns(50, 1) is first
+        assert oplab._sample_columns(50, 2) is not first
+        assert oplab._sample_columns(60, 1) is not first
         with shared_samples():
-            assert oplab._sample_columns(50, 1, 4.0) is not first
-        assert oplab._sample_columns(50, 1, 4.0) is first
+            assert oplab._sample_columns(50, 1) is not first
+        assert oplab._sample_columns(50, 1) is first
     assert oplab._scope is None
-    assert oplab._sample_columns(50, 1, 4.0) is not oplab._sample_columns(
-        50, 1, 4.0)
+    assert oplab._sample_columns(50, 1) is not oplab._sample_columns(50, 1)
 
 
 def test_no_memo_survives_the_pq_suite():
