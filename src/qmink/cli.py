@@ -8,7 +8,9 @@ FILE may be a path to a .qalg source or the name of a builtin (lorentz,
 minkowski, coaction, classical, with or without the .qalg suffix).  Exit
 codes: 0 all checks passed, 1 a check failed, 2 usage or parse error.
 Only `check` and `report-all` import the suites, so `normalize` starts
-without the numeric modules.
+without the numeric modules.  `report-all` runs the exact suites in a
+forked child beside the numeric ones where it can (see `suites.run_all`);
+its output is the same either way.
 """
 
 from __future__ import annotations
@@ -34,6 +36,16 @@ def _file_presentations(path: Path) -> dict:
     return presentations
 
 
+def _pick_algebra(presentations: dict, algebra: str | None) -> dict:
+    """The algebras --algebra selects from a file's: all, or the named one."""
+    if algebra is None:
+        return presentations
+    if algebra not in presentations:
+        raise DslError(f"file has no algebra named {algebra!r} "
+                       f"(found: {', '.join(presentations)})")
+    return {algebra: presentations[algebra]}
+
+
 def _resolve_presentation(file_arg: str, algebra: str | None):
     path = Path(file_arg)
     stem = path.name.removesuffix(".qalg")
@@ -43,11 +55,7 @@ def _resolve_presentation(file_arg: str, algebra: str | None):
         raise DslError(f"no such file or builtin: {file_arg}")
     else:
         presentations = _file_presentations(path)
-    if algebra is not None:
-        if algebra not in presentations:
-            raise DslError(f"file has no algebra named {algebra!r} "
-                           f"(found: {', '.join(presentations)})")
-        return presentations[algebra]
+    presentations = _pick_algebra(presentations, algebra)
     if len(presentations) == 1:
         return next(iter(presentations.values()))
     raise DslError(f"file declares several algebras "
@@ -102,11 +110,8 @@ def cmd_check(args) -> int:
             path = Path(args.file)
             if not path.exists():
                 raise DslError(f"no such file: {args.file}")
-            presentations = _file_presentations(path)
-            if args.algebra is not None:
-                if args.algebra not in presentations:
-                    raise DslError(f"no algebra named {args.algebra!r}")
-                presentations = {args.algebra: presentations[args.algebra]}
+            presentations = _pick_algebra(_file_presentations(path),
+                                          args.algebra)
         elif args.algebra is not None:
             presentations = {args.algebra: _builtin_presentation(args.algebra)}
         report = suites.timed(lambda: suites.run_presentation_suite(

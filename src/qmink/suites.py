@@ -1,19 +1,22 @@
 """The five verification suites behind `qmink check` and `qmink report-all`.
 
-Suites are pure given their parameters and seed; `run_all` runs them one
-after another, in a fixed order, so reports are byte-stable.
+Suites are pure given their parameters and seed, and `run_all` bundles
+their reports in a fixed order, so reports are byte-stable.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
+import threading
 import time
 
 from . import cocycle as cc
 from . import coact, oplab
 from .dsl import builtin
-from .ncalg import NCPolynomial, check_local_confluence, check_termination
+from .ncalg import (NCPolynomial, check_local_confluence, check_termination,
+                    render_poly, render_word)
 from .reports import (CheckResult, ReportBundle, Residual, SuiteReport,
                       worst_of)
 
@@ -41,13 +44,26 @@ def _symbolic_check(name, report) -> CheckResult:
                               f"first at {worst.label}: {worst.rendered}")
 
 
-def dual_strategy_agreement(pres, samples: int, seed: int):
+class Disagreements(int):
+    """How many random words the two normalize strategies disagree on.
+
+    `first` renders the first such word and both of its normal forms, so
+    a failing oracle can be replayed; it is None when they all agree.
+    """
+
+    def __new__(cls, count: int, first):
+        self = super().__new__(cls, count)
+        self.first = first
+        return self
+
+
+def dual_strategy_agreement(pres, samples: int, seed: int) -> Disagreements:
     """Normalize random words of up to ORACLE_MAX_LEN letters with the
     deterministic and a seeded random strategy; confluent presentations
     must agree exactly."""
     rng = random.Random(seed)
     n = len(pres.generators)
-    mismatches = 0
+    mismatches, first = 0, None
     for k in range(samples):
         word = tuple(rng.randrange(n) for _ in range(rng.randint(0, ORACLE_MAX_LEN)))
         poly = NCPolynomial.word(word)
@@ -55,7 +71,11 @@ def dual_strategy_agreement(pres, samples: int, seed: int):
         nf_rand = pres.normalize(poly, rng=random.Random(seed * 1000003 + k))
         if nf_det != nf_rand:
             mismatches += 1
-    return mismatches
+            if first is None:
+                first = (f"{render_word(word, pres)}: "
+                         f"{render_poly(nf_det, pres)} (leftmost) vs "
+                         f"{render_poly(nf_rand, pres)} (random)")
+    return Disagreements(mismatches, first)
 
 
 def run_presentation_suite(samples: int = 1000, seed: int = 0,
@@ -79,9 +99,11 @@ def run_presentation_suite(samples: int = 1000, seed: int = 0,
         checks.append(CheckResult(f"{name}: local confluence", not pairs,
                                   detail=f"{len(pairs)} unresolved critical pairs"))
         bad = dual_strategy_agreement(pres, samples, seed)
-        checks.append(CheckResult(
-            f"{name}: dual-strategy normal forms", bad == 0,
-            detail=f"{bad} disagreements over {samples} random words"))
+        detail = f"{bad} disagreements over {samples} random words"
+        if bad:
+            detail += f"; first at {bad.first}"
+        checks.append(CheckResult(f"{name}: dual-strategy normal forms",
+                                  bad == 0, detail=detail))
     return SuiteReport("presentation",
                        {"samples": samples, "max_len": ORACLE_MAX_LEN},
                        seed, checks)
@@ -210,15 +232,81 @@ def run_pq_suite(pairs=ACCEPTANCE_PQ_PAIRS, samples: int = 1000, seed: int = 0,
 
 def run_all(samples: int = 1000, cocycle_samples: int = 10000, seed: int = 0,
             tol: float = DEFAULT_TOL) -> ReportBundle:
-    """Run the five suites in order.
+    """Run the five suites and bundle their reports in the fixed order.
 
-    The suites are pure Python and hold the interpreter lock throughout, so
-    threads could not overlap them."""
-    jobs = (
+    The suites are pure Python, so threads cannot overlap them; processes
+    can.  Where `os.fork` exists and no other thread is running, a forked
+    child runs the exact suites (presentation, hopf, coaction) while this
+    process runs the numeric ones (cocycle, pq); otherwise all five run
+    here one after another.  Either way the bundle is the same, and the
+    error raised is that of the earliest failing suite in report order.
+    """
+    exact = (
         lambda: run_presentation_suite(samples=samples, seed=seed),
         run_hopf_suite,
         run_coaction_suite,
+    )
+    numeric = (
         lambda: run_cocycle_suite(samples=cocycle_samples, seed=seed, tol=tol),
         lambda: run_pq_suite(samples=samples, seed=seed, tol=tol),
     )
-    return ReportBundle([timed(job) for job in jobs], seed=seed)
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        reports = _run_beside(exact, numeric)
+    else:
+        reports = [timed(job) for job in exact + numeric]
+    return ReportBundle(reports, seed=seed)
+
+
+def _outcome(jobs):
+    """("ok", the jobs' timed reports), or ("error", the first exception)."""
+    try:
+        return "ok", [timed(job) for job in jobs]
+    except Exception as exc:
+        return "error", exc
+
+
+def _run_beside(child_jobs, own_jobs) -> list:
+    """The reports of child_jobs, run in a forked child, then those of
+    own_jobs, run here meanwhile.  The child always leaves through
+    `os._exit` (no atexit handlers, no second flush of inherited buffers)
+    and is always reaped; if this process is interrupted, it is killed
+    first."""
+    import pickle
+    import signal
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            kind, value = _outcome(child_jobs)
+            try:
+                data = pickle.dumps((kind, value))
+                pickle.loads(data)
+            except Exception:  # an exception that cannot cross the pipe
+                data = pickle.dumps(("error", RuntimeError(
+                    f"{type(value).__name__}: {value}")))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            own = _outcome(own_jobs)
+            payload = pipe.read()  # to EOF before waiting, so it cannot fill
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        theirs = pickle.loads(payload)
+    except Exception:
+        raise RuntimeError(f"the forked suites' process exited without a "
+                           f"result (exit status {status})") from None
+    for kind, value in (theirs, own):  # child_jobs come first in the report
+        if kind == "error":
+            raise value
+    return theirs[1] + own[1]

@@ -240,8 +240,39 @@ def test_check_presentation_unknown_algebra(tmp_path, capsys):
     code, out, err = run(capsys, "check", "presentation", "--file", str(f),
                          "--algebra", "nope")
     assert code == 2
-    assert err.strip() == "qmink: no algebra named 'nope'"
+    assert err.strip() == \
+        "qmink: file has no algebra named 'nope' (found: plane)"
     assert out == ""
+    code, out, err2 = run(capsys, "normalize", str(f), "u", "--algebra", "nope")
+    assert code == 2
+    assert err2 == err  # one picker, one message
+
+
+def test_failing_dual_strategy_check_names_its_first_word(tmp_path, capsys):
+    # terminating but not confluent: x y z -> z z and x y z -> x x
+    f = tmp_path / "nc.qalg"
+    f.write_text("algebra nc {\n  gen x y z;\n  rel x y = z;\n  rel y z = x;\n}\n")
+    code, out, _ = run(capsys, "check", "presentation", "--file", str(f),
+                       "--samples", "200", "--format", "json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["reports"][0]["checks"]}
+    detail = checks["nc: dual-strategy normal forms"]["detail"]
+    count, word, leftmost, other = re.fullmatch(
+        r"(\d+) disagreements over 200 random words; "
+        r"first at (.+): (.+) \(leftmost\) vs (.+) \(random\)", detail).groups()
+    assert int(count) >= 1 and leftmost != other
+    for expr, normal_form in ((word, leftmost), (leftmost, leftmost),
+                              (other, other)):
+        code, out, _ = run(capsys, "normalize", str(f), expr)
+        assert code == 0
+        assert out.strip() == normal_form
+    # a passing oracle keeps its plain detail
+    code, out, _ = run(capsys, "check", "presentation", "--samples", "20",
+                       "--format", "json")
+    assert code == 0
+    details = [c["detail"] for c in json.loads(out)["reports"][0]["checks"]
+               if c["name"].endswith("dual-strategy normal forms")]
+    assert details == ["0 disagreements over 20 random words"] * 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -250,6 +281,7 @@ def test_check_presentation_unknown_algebra(tmp_path, capsys):
     ("check", "presentation", "--samples", "0"),
     ("check", "cocycle", "--samples", "0"),
     ("report-all", "--samples", "0"),
+    ("report-all", "--cocycle-samples", "0"),  # fails beside the forked suites
 ])
 def test_sample_count_below_one_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -373,6 +405,16 @@ def test_normalize_loads_no_numeric_module():
         "'qmink.reports', 'json') if m in sys.modules])"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["1 + b c", "[]"]
+
+
+def test_check_and_normalize_load_no_pickle():
+    """Only report-all forks and reads reports back through pickle."""
+    for argv in (["check", "hopf"], ["normalize", "lorentz", "d a"]):
+        proc = _run_python("-c", (
+            f"import sys; from qmink.cli import main; main({argv!r}); "
+            "print('pickle' in sys.modules)"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_demo_script_runs_and_passes():
