@@ -30,7 +30,11 @@ USAGE_ERROR = 2
 
 def _file_presentations(path: Path) -> dict:
     """The algebras in scope in a .qalg file (imported ones included)."""
-    presentations = parse(path.read_text("utf-8"), filename=str(path)).presentations
+    try:
+        text = path.read_text("utf-8")
+    except OSError as exc:  # a directory, no permission, ...
+        raise DslError(f"cannot read {path}: {exc.strerror or exc}") from None
+    presentations = parse(text, filename=str(path)).presentations
     if not presentations:
         raise DslError(f"{path} declares no algebra")
     return presentations

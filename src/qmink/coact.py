@@ -180,9 +180,8 @@ def check_cocommutativity_square(coaction: Morphism, comult: Morphism,
     """
     left = leg_extend(coaction, "left", comult.domain)
     right = leg_extend(comult, "right", coaction.domain)
-    if left.domain != right.domain or left.domain != coaction.codomain:
-        raise ValueError("composition square does not type-check")
-    if left.codomain != right.codomain:
+    if not (left.domain == right.domain == coaction.codomain
+            and left.codomain == right.codomain):
         raise ValueError("composition square does not type-check")
     entries = []
     for name in gens:

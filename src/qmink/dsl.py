@@ -20,7 +20,10 @@ Stars are spelled with a trailing apostrophe (a'); declared generators are
 automatically paired with starred partners unless listed selfadjoint, and
 the combined generator order is "unstarred first, then the starred partners
 in the same order".  Scalars are Gaussian rationals with powers of the
-formal unit q, e.g.  q^-4, 2*q, (1+i)*q^2, 1/2.  In morphism images the
+formal unit q, e.g.  q^-4, 2*q, (1+i)*q^2, 1/2.  A parenthesized group
+is any expression that reduces to a scalar: it is read by the polynomial
+grammar, and no word may be left once like terms are collected, so (1+i),
+((2 q)) and (a - a) are scalars and (a) is an error.  In morphism images the
 tensor legs of the codomain are separated by '@', with '1' for an empty
 leg.  Comments run from '#' to end of line.
 
@@ -230,14 +233,9 @@ class _Parser:
                 self.expect(";")
             elif head.text == "rel":
                 start = self.pos
-                depth = 0
-                while not (self.peek().kind == ";" and depth == 0):
+                while self.peek().kind != ";":  # no expression holds a ';'
                     if self.peek().kind == "eof":
                         raise self.error("unterminated rel declaration", head)
-                    if self.peek().kind in "([":
-                        depth += 1
-                    if self.peek().kind in ")]":
-                        depth -= 1
                     self.next()
                 rel_spans.append((start, head))
                 self.expect(";")
@@ -385,8 +383,12 @@ class _Parser:
                 coeff = coeff * factor
             elif tok.kind == "(":
                 self.next()
-                coeff = coeff * self._parse_scalar_sum()
-                self.expect(")")
+                group = self.parse_poly(pres)
+                if group.words() - {()}:
+                    raise self.error("a parenthesized factor must be a scalar",
+                                     tok)
+                self.expect(")", "')'")
+                coeff = coeff * group.coefficient(())
             elif tok.kind == "ident":
                 self.next()
                 word.append(self._resolve(pres, tok, leg))
@@ -406,23 +408,6 @@ class _Parser:
             raise self.error("expected a term")
         poly = NCPolynomial.word(tuple(word), coeff)
         return -poly if negate else poly
-
-    def _parse_scalar_sum(self) -> Scalar:
-        total = None
-        negate = False
-        if self.peek().kind == "-":
-            self.next()
-            negate = True
-        while True:
-            factor = self._parse_scalar_product()
-            if negate:
-                factor = -factor
-            total = factor if total is None else total + factor
-            if self.peek().kind in ("+", "-"):
-                negate = self.next().kind == "-"
-                continue
-            break
-        return total
 
     def _fraction(self, tok) -> Fraction:
         try:
@@ -447,20 +432,6 @@ class _Parser:
             self.next()
             k = self._parse_signed_int()
         return Scalar.q_power(k)
-
-    def _parse_scalar_product(self) -> Scalar:
-        coeff = None
-        while True:
-            if self.peek().kind == "*":
-                self.next()
-                continue
-            factor = self._parse_scalar_factor()
-            if factor is None:
-                break
-            coeff = factor if coeff is None else coeff * factor
-        if coeff is None:
-            raise self.error("expected a scalar factor")
-        return coeff
 
     def _resolve(self, pres, tok, leg) -> int:
         name = tok.text

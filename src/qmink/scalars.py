@@ -296,4 +296,3 @@ def _render_monomial(coeff: GaussianRational, k: int) -> str:
 
 ONE = Scalar.one()
 ZERO = Scalar.zero()
-MINUS_ONE = Scalar.of(-1)

@@ -109,43 +109,31 @@ def run_presentation_suite(samples: int = 1000, seed: int = 0,
                        seed, checks)
 
 
-def run_hopf_suite() -> SuiteReport:
-    bundle = builtin("lorentz")
-    delta = bundle.morphism("Delta")
-    classical = builtin("classical").morphism("Delta")
+def _morphism_suite(suite, bundle, name, gens, kind, square) -> SuiteReport:
+    """Relations, the square against Delta on gens, star-equivariance and
+    the q = 1 limit of the builtin morphism `name`."""
+    m = builtin(bundle).morphism(name)
     checks = [
-        _symbolic_check("comultiplication preserves relations",
-                        coact.check_relations_preserved(delta)),
-        _symbolic_check("coassociativity on generators",
-                        coact.check_cocommutativity_square(
-                            delta, delta, ("a", "b", "c", "d"))),
-        _symbolic_check("star-equivariance",
-                        coact.check_star_equivariance(delta)),
-        _symbolic_check("classical limit q = 1",
-                        coact.classical_limit_compare(delta, classical)),
+        _symbolic_check(f"{kind} preserves relations",
+                        coact.check_relations_preserved(m)),
+        _symbolic_check(square, coact.check_cocommutativity_square(
+            m, builtin(bundle).morphism("Delta"), gens)),
+        _symbolic_check("star-equivariance", coact.check_star_equivariance(m)),
+        _symbolic_check("classical limit q = 1", coact.classical_limit_compare(
+            m, builtin("classical").morphism(name))),
     ]
-    return SuiteReport("hopf", {"algebra": "lorentz", "morphism": "Delta"},
+    return SuiteReport(suite, {"algebra": m.domain.name, "morphism": name},
                        None, checks)
+
+
+def run_hopf_suite() -> SuiteReport:
+    return _morphism_suite("hopf", "lorentz", "Delta", ("a", "b", "c", "d"),
+                           "comultiplication", "coassociativity on generators")
 
 
 def run_coaction_suite() -> SuiteReport:
-    bundle = builtin("coaction")
-    delta_h = bundle.morphism("DeltaH")
-    delta = bundle.morphism("Delta")
-    classical = builtin("classical").morphism("DeltaH")
-    checks = [
-        _symbolic_check("coaction preserves relations",
-                        coact.check_relations_preserved(delta_h)),
-        _symbolic_check("coaction identity on x, y, w",
-                        coact.check_cocommutativity_square(
-                            delta_h, delta, ("x", "y", "w"))),
-        _symbolic_check("star-equivariance",
-                        coact.check_star_equivariance(delta_h)),
-        _symbolic_check("classical limit q = 1",
-                        coact.classical_limit_compare(delta_h, classical)),
-    ]
-    return SuiteReport("coaction", {"algebra": "minkowski", "morphism": "DeltaH"},
-                       None, checks)
+    return _morphism_suite("coaction", "coaction", "DeltaH", ("x", "y", "w"),
+                           "coaction", "coaction identity on x, y, w")
 
 
 def _residual_check(name, residual, tol) -> CheckResult:

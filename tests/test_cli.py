@@ -194,6 +194,17 @@ def test_check_presentation_on_user_file(tmp_path, capsys):
     assert "plane: local confluence" in out
 
 
+@pytest.mark.parametrize("argv", [("normalize", "{}", "x"),
+                                  ("check", "presentation", "--file", "{}")])
+def test_unreadable_file_is_a_usage_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith(f"qmink: cannot read {tmp_path}: ")
+
+
 def test_check_presentation_on_file_without_algebra_exits_2(tmp_path, capsys):
     f = tmp_path / "empty.qalg"
     f.write_text("# no algebra here\n")

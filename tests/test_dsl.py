@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,42 @@ def test_parse_expression_complex_scalars():
     # words are listed in term order: b is lighter than a (a is heavy)
     assert rendered == "-2*i b + (1+i)*q^2 a"
     assert parse_expression(rendered, lor) == p
+    # a group is read as a polynomial and need only reduce to a scalar
+    assert parse_expression("(a - a) b", lor).is_zero()
+
+
+@pytest.mark.parametrize("expr, col, message", [
+    ("(a) b", 1, "a parenthesized factor must be a scalar"),
+    ("2 (1 + b) a", 3, "a parenthesized factor must be a scalar"),
+    ("(1 - - 1) a", 6, "expected a term"),
+    ("() a", 2, "expected a term"),
+])
+def test_malformed_group_is_a_located_error(expr, col, message):
+    lor = builtin("lorentz").presentation("lorentz")
+    with pytest.raises(DslError) as err:
+        parse_expression(expr, lor)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert message in err.value.message
+
+
+def test_unclosed_group_in_a_rel_fails_at_its_semicolon():
+    src = "algebra t {\n  gen a b;\n  rel b a = (1;\n  rel b b = a;\n}\n"
+    with pytest.raises(DslError) as err:
+        parse(src)
+    assert (err.value.line, err.value.col) == (3, 15)
+    assert "expected ')'" in err.value.message
+
+
+def test_readme_qalg_example_parses_and_matches_lorentz():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## The .qalg language\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    assert any("(" in line.split("#")[0] for line in block.splitlines())
+    parsed = parse(block, "README.md")
+    source = parse(_load_source("lorentz"), "lorentz.qalg")
+    rules = source.presentations["lorentz"].rules
+    assert all(rule in rules for rule in parsed.presentations["lorentz"].rules)
+    assert parsed.morphisms["Delta"].images == source.morphisms["Delta"].images
 
 
 SCALAR_FACTORS = {"3": Scalar.of(Fraction(3)), "1/2": Scalar.of(Fraction(1, 2)),
@@ -240,7 +277,7 @@ SCALAR_FACTORS = {"3": Scalar.of(Fraction(3)), "1/2": Scalar.of(Fraction(1, 2)),
 def test_every_scalar_factor_round_trips_bare_and_in_parentheses(factor):
     want = SCALAR_FACTORS[factor]
     for coeff, scale in ((factor, 1), (f"({factor})", 1), (f"2 {factor}", 2),
-                         (f"(2*{factor})", 2)):
+                         (f"(2*{factor})", 2), (f"(({factor}) * 2)", 2)):
         src = f"algebra t {{\n  gen u v;\n  rel v u = {coeff} u v;\n}}\n"
         parsed = parse(src)
         pres = parsed.presentations["t"]
@@ -260,7 +297,7 @@ names = st.lists(st.sampled_from("nopuvz"), min_size=2, max_size=5, unique=True)
 
 coefficient_texts = st.sampled_from(
     ("", "q ", "q^-3 ", "2 ", "1/2 ", "i ", "-i ", "2*i*q^2 ", "(1+i) ",
-     "(1/2-3*i)*q^-1 ", "(1 + q^-4) "))
+     "(1/2-3*i)*q^-1 ", "(1 + q^-4) ", "((1+i)) "))
 
 
 @st.composite
