@@ -32,8 +32,9 @@ def _file_presentations(path: Path) -> dict:
     """The algebras in scope in a .qalg file (imported ones included)."""
     try:
         text = path.read_text("utf-8")
-    except OSError as exc:  # a directory, no permission, ...
-        raise DslError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8, ...
+        reason = getattr(exc, "strerror", None) or exc
+        raise DslError(f"cannot read {path}: {reason}") from None
     presentations = parse(text, filename=str(path)).presentations
     if not presentations:
         raise DslError(f"{path} declares no algebra")

@@ -19,11 +19,16 @@ explicitly via critical pairs.
 
 Strategies.  The deterministic normalizer rewrites the leftmost redex with
 the first declared rule matching there, found through an index from
-left-hand side to rule; words waiting to be rewritten merge, so paths that
-meet are rewritten once from there on, and one rewrite is one step of the
-budget.  The random-redex strategy (``rng=``) scans without the index and
-merges nothing: it is the independent oracle the deterministic one is
-checked against.
+left-hand side to rule; after a rewrite the scan resumes where a new redex
+can first start.  Words waiting to be rewritten merge, so paths that meet
+are rewritten once from there on, and one rewrite is one step of the
+budget.  In a tensor product (y x -> x y with coefficient 1 for every
+letter y on a higher leg than x, every other rule within one leg) each
+input word is first stable-sorted by leg, which is what those cross-leg
+rules produce; the sort is no step of the budget.  The random-redex
+strategy (``rng=``) scans without the index, sorts nothing and merges
+nothing: it is the independent oracle the deterministic one is checked
+against.
 
 All structures are immutable after construction; normalization is pure.
 """
@@ -195,7 +200,32 @@ class Presentation:
         # rule index of the deterministic strategy: lhs -> first declared rule
         self._by_lhs = by_lhs
         self._lhs_lengths = tuple(sorted({len(lhs) for lhs in by_lhs}))
+        # a rewrite at i leaves no redex starting before i - _reach
+        self._reach = max(self._lhs_lengths, default=1) - 1
         self._heavy = frozenset(i for i, g in enumerate(generators) if g.heavy)
+        self._legs = self._tensor_legs() if self.nlegs > 1 else None
+
+    def _tensor_legs(self):
+        """Each generator's leg if the rules make this a tensor product, else None.
+
+        That is: y x -> x y with coefficient ONE for every letter y on a
+        higher leg than x, no other left-hand side across legs, and every
+        other rule's words in its left-hand side's leg.
+        """
+        legs = tuple(g.leg for g in self.generators)
+        swaps = set()
+        for rule in self.rules:
+            lhs_legs = {legs[i] for i in rule.lhs}
+            if len(lhs_legs) == 1:
+                if any(legs[i] not in lhs_legs for w in rule.rhs.words() for i in w):
+                    return None
+            elif (len(rule.lhs) == 2 and legs[rule.lhs[0]] > legs[rule.lhs[1]]
+                  and rule.rhs._terms == {rule.lhs[::-1]: ONE}):
+                swaps.add(rule.lhs)
+            else:
+                return None
+        pairs = sum(1 for y in legs for x in legs if y > x)
+        return legs if len(swaps) == pairs else None
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -254,19 +284,20 @@ class Presentation:
                 if i + L <= n and word[i:i + L] == rule.lhs:
                     yield i, rule
 
-    def find_redex(self, word: Word):
-        """Leftmost redex, first matching rule in declaration order."""
+    def find_redex(self, word: Word, start: int = 0):
+        """Leftmost redex from ``start`` on (none may start before it), with
+        the first matching rule in declaration order."""
         by_lhs = self._by_lhs
         lengths = self._lhs_lengths
         n = len(word)
         if len(lengths) == 1:
             (L,) = lengths
-            for i in range(n - L + 1):
+            for i in range(start, n - L + 1):
                 hit = by_lhs.get(word[i:i + L])
                 if hit is not None:
                     return i, hit[1]
             return None
-        for i in range(n):
+        for i in range(start, n):
             best = None
             for L in lengths:
                 if i + L > n:
@@ -284,7 +315,10 @@ class Presentation:
 
         The default strategy is deterministic: leftmost redex, and among
         the rules matching there the first declared, found through the rule
-        index.  A one-term rewrite goes on at once; the reducible words of
+        index; after a rewrite at i the scan resumes at i - (longest lhs - 1).
+        In a tensor product each input word is stable-sorted by leg first,
+        in place of the cross-leg commutations, which are then no steps.
+        A one-term rewrite goes on at once; the reducible words of
         the input and of many-term rewrites wait, equal words merged, and
         are taken greatest first in (heavy degree, length, letters).  Every
         builtin rule lowers that order in any context, so no word waits
@@ -297,23 +331,25 @@ class Presentation:
         if rng is not None:
             return self._normalize_random(poly, step_limit, rng)
         find_redex, heavy_degree = self.find_redex, self.heavy_degree
+        reach, legs = self._reach, self._legs
         terms = {}  # word -> summed coefficient: waiting or irreducible
         # greatest (heavy degree, length, letters) on top; not order_key, whose
         # inversion count costs O(n^2) per word and need not drop in context
         heap = []
 
-        def push(word, coeff):
+        def push(word, coeff, start=0):
             if word in terms:
                 terms[word] += coeff
                 return
             terms[word] = coeff
-            hit = find_redex(word)
+            hit = find_redex(word, start)
             if hit is not None:
                 heapq.heappush(heap, (-heavy_degree(word), -len(word),
                                       tuple([-i for i in word]), word, hit))
 
         for word, coeff in poly._terms.items():
-            push(word, coeff)
+            push(word if legs is None else tuple(sorted(word, key=legs.__getitem__)),
+                 coeff)
         steps = 0
         while heap:
             word, (i, rule) = heapq.heappop(heap)[-2:]
@@ -324,13 +360,14 @@ class Presentation:
                     raise StepLimitExceeded(
                         f"normalization in {self.name} exceeded {step_limit} steps")
                 prefix, suffix = word[:i], word[i + len(rule.lhs):]
+                start = max(0, i - reach)
                 if len(rule.rhs._terms) != 1:
                     for rw, rc in rule.rhs._terms.items():
-                        push(prefix + rw + suffix, rc * coeff)
+                        push(prefix + rw + suffix, rc * coeff, start)
                     break
                 ((rw, rc),) = rule.rhs._terms.items()
                 word, coeff = prefix + rw + suffix, rc * coeff
-                hit = None if word in terms else find_redex(word)
+                hit = None if word in terms else find_redex(word, start)
                 if hit is None:
                     terms[word] = terms[word] + coeff if word in terms else coeff
                     break

@@ -16,6 +16,7 @@ import pytest
 
 import qmink
 from qmink.cli import build_parser, main
+from qmink.ncalg import Presentation, StepLimitExceeded
 
 
 SCHEMA = json.loads(
@@ -195,14 +196,31 @@ def test_check_presentation_on_user_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [("normalize", "{}", "x"),
-                                  ("check", "presentation", "--file", "{}")])
+                                  ("check", "presentation", "--file", "{}"),
+                                  ("normalize", "{}/bin.qalg", "x"),
+                                  ("check", "presentation", "--file", "{}/bin.qalg")])
 def test_unreadable_file_is_a_usage_error(tmp_path, capsys, argv):
-    code, out, err = run(capsys, *(a.format(tmp_path) for a in argv))
+    # a directory, and a file that is not UTF-8
+    (tmp_path / "bin.qalg").write_bytes(b"\xffalgebra plane { gen u; }\n")
+    argv = tuple(a.format(tmp_path) for a in argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
     (line,) = err.splitlines()
-    assert line.startswith(f"qmink: cannot read {tmp_path}: ")
+    path = argv[1] if argv[0] == "normalize" else argv[-1]
+    assert line.startswith(f"qmink: cannot read {path}: ")
+
+
+def test_step_limit_overrun_exits_2(capsys, monkeypatch):
+    def overrun(self, poly, **kwargs):
+        raise StepLimitExceeded(f"normalization in {self.name} exceeded 10 steps")
+    monkeypatch.setattr(Presentation, "normalize", overrun)
+    code, out, err = run(capsys, "normalize", "lorentz", "d a")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("qmink: normalization in ") and "exceeded 10 steps" in line
 
 
 def test_check_presentation_on_file_without_algebra_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Rewrite engine: normal forms, termination, confluence, tensors."""
 
+import itertools
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmink.coact import leg_extend
 from qmink.dsl import builtin, parse_expression
 from qmink.ncalg import (Generator, NCPolynomial, Presentation, RewriteRule,
                          StepLimitExceeded, UnorientableRuleError,
@@ -185,12 +187,95 @@ def test_words_met_on_many_paths_are_rewritten_once(name):
     # takes at least 2^20 - 1 steps, merging equal words 4200
     pres = builtin("classical" if name == "classical_lorentz" else "lorentz").presentation(name)
     a, d, b, c = (pres.index_of(g) for g in "adbc")
-    got = pres.normalize(NCPolynomial.word((a,) * 20 + (d,) * 20), step_limit=5000)
+    word = NCPolynomial.word((a,) * 20 + (d,) * 20)
+    got = pres.normalize(word, step_limit=4200)
+    with pytest.raises(StepLimitExceeded):
+        pres.normalize(word, step_limit=4199)
     assert sorted(len(w) for w in got.words()) == list(range(0, 41, 2))
     if name == "classical_lorentz":
         # (a d)^20 = (1 + b c)^20 in the commutative limit
         expected = {(b,) * j + (c,) * j: Scalar.of(math.comb(20, j)) for j in range(21)}
         assert got.terms == expected
+
+
+def test_scan_from_start_finds_the_leftmost_redex():
+    # lhs lengths 1 and 3, and c a b matches both at its c: the first declared wins
+    pres = abstract_presentation("abc", [("cab", "a"), ("c", "b"), ("bba", "a")])
+    for n in range(7):
+        for word in itertools.product(range(3), repeat=n):
+            hit = pres.find_redex(word)
+            for start in range(n + 1 if hit is None else hit[0] + 1):
+                assert pres.find_redex(word, start) == hit
+
+
+# -- tensor products: the leg sort ---------------------------------------------
+
+
+def tensor_codomains():
+    """Delta's and DeltaH's codomains, and the 3-leg codomains of the squares."""
+    delta = builtin("lorentz").morphisms["Delta"]
+    delta_h = builtin("coaction").morphisms["DeltaH"]
+    squares = [leg_extend(co, "left", delta.domain).codomain for co in (delta, delta_h)]
+    return {p.name: p for p in [delta.codomain, delta_h.codomain] + squares}
+
+
+def cross_pair(pres):
+    """y x for a letter y on the last leg and x = letter 0, and its sort x y."""
+    y = max(range(len(pres.generators)), key=lambda i: pres.generators[i].leg)
+    return NCPolynomial.word((y, 0)), NCPolynomial.word((0, y))
+
+
+def assert_matches_random_strategy(pres, seed):
+    """Random words across all legs, each with a leg-interleaving of itself."""
+    rng = random.Random(seed)
+    n = len(pres.generators)
+    for trial in range(20):
+        word = tuple(rng.randrange(n) for _ in range(rng.randint(0, 12)))
+        legs = [pres.generators[i].leg for i in word]
+        per_leg = {leg: [i for i in word if pres.generators[i].leg == leg]
+                   for leg in legs}
+        rng.shuffle(legs)
+        other = tuple(per_leg[leg].pop(0) for leg in legs)
+        poly = NCPolynomial({word: Scalar.q_power(1), other: Scalar.of(-1)})
+        assert pres.normalize(poly) == pres.normalize(poly, rng=random.Random(trial))
+
+
+def two_legs(rules):
+    """a, b on leg 0 and c on leg 1, self-adjoint; rules as (lhs, rhs, q power)."""
+    gens = tuple(Generator(n, i, leg=int(n == "c")) for i, n in enumerate("abc"))
+    idx = "abc".index
+    return Presentation("two-legs", gens, [
+        RewriteRule(tuple(map(idx, lhs)),
+                    NCPolynomial.word(tuple(map(idx, rhs)), Scalar.q_power(k)))
+        for lhs, rhs, k in rules])
+
+
+@pytest.mark.parametrize("name", ["lorentz@lorentz", "minkowski@lorentz",
+                                  "lorentz@lorentz@lorentz",
+                                  "minkowski@lorentz@lorentz", "two-legs"])
+def test_leg_sort_matches_random_strategy(name):
+    if name == "two-legs":
+        pres = two_legs([("ba", "ab", 2), ("ca", "ac", 0), ("cb", "bc", 0)])
+    else:
+        pres = tensor_codomains()[name]
+    # cross-leg commutations are no steps of the budget
+    swapped, sorted_ = cross_pair(pres)
+    assert pres.normalize(swapped, step_limit=0) == sorted_
+    assert_matches_random_strategy(pres, name)
+
+
+@pytest.mark.parametrize("rules", [
+    [("ba", "ab", 2), ("ca", "ac", 1), ("cb", "bc", 0)],  # a q factor
+    [("ba", "ab", 2), ("ca", "ac", 0)],  # c b does not commute
+    [("ba", "ab", 0), ("bb", "c", 0), ("ca", "ac", 0), ("cb", "bc", 0)],
+], ids=["q-factor", "missing-pair", "rhs-leaves-its-leg"])
+def test_presentations_that_are_no_tensor_product_rewrite_each_swap(rules):
+    pres = two_legs(rules)
+    assert check_termination(pres).ok and check_local_confluence(pres) == []
+    swapped, _ = cross_pair(pres)
+    with pytest.raises(StepLimitExceeded):
+        pres.normalize(swapped, step_limit=0)
+    assert_matches_random_strategy(pres, len(rules))
 
 
 # -- classical limit oracle ---------------------------------------------------
