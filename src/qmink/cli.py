@@ -1,16 +1,22 @@
 """Command-line front end.
 
     qmink normalize FILE EXPR [--algebra NAME]
-    qmink check {presentation|hopf|coaction|cocycle|pq} [options]
-    qmink report-all [options]
+    qmink check presentation [--file FILE] [--algebra NAME] [--samples N]
+    qmink check hopf | coaction
+    qmink check cocycle [--s S]... [--radius R] [--samples N] [--tol T]
+    qmink check pq [--p P --q Q] [--s S]... [--samples N] [--tol T]
+    qmink report-all [--samples N] [--cocycle-samples N] [--tol T]
 
-FILE may be a path to a .qalg source or the name of a builtin (lorentz,
-minkowski, coaction, classical, with or without the .qalg suffix).  Exit
-codes: 0 all checks passed, 1 a check failed, 2 usage or parse error.
-Only `check` and `report-all` import the suites, so `normalize` starts
-without the numeric modules.  `report-all` runs the exact suites in a
-forked child beside the numeric ones where it can (see `suites.run_all`);
-its output is the same either way.
+Every `check` and `report-all` also take --seed S and --format text|json.
+A command takes only the flags that can change its output, spelled in
+full; any other flag is a usage error.  FILE is a .qalg path or, when no
+such file exists, a bare builtin name (lorentz, minkowski, coaction,
+classical, with or without .qalg, and no directory part).  Exit codes: 0
+all checks passed, 1 a check failed, 2 usage or parse error.  Only `check`
+and `report-all` import the suites, so `normalize` starts without the
+numeric modules.  `report-all` runs the exact suites in a forked child
+beside the numeric ones where it can (see `suites.run_all`); its output
+is the same either way.
 """
 
 from __future__ import annotations
@@ -28,8 +34,15 @@ from .scalars import EvalOverflowError
 USAGE_ERROR = 2
 
 
-def _file_presentations(path: Path) -> dict:
-    """The algebras in scope in a .qalg file (imported ones included)."""
+def _file_presentations(file_arg: str) -> dict:
+    """The algebras in scope in FILE (imported ones included): a .qalg
+    path, or a bare builtin name when no such file exists."""
+    path = Path(file_arg)
+    if not path.exists():
+        name = file_arg.removesuffix(".qalg")
+        if path.name == file_arg and name in BUILTIN_NAMES:
+            return builtin(name).presentations
+        raise DslError(f"no such file: {file_arg}")
     try:
         text = path.read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8, ...
@@ -51,34 +64,19 @@ def _pick_algebra(presentations: dict, algebra: str | None) -> dict:
     return {algebra: presentations[algebra]}
 
 
-def _resolve_presentation(file_arg: str, algebra: str | None):
-    path = Path(file_arg)
-    stem = path.name.removesuffix(".qalg")
-    if not path.exists() and stem in BUILTIN_NAMES:
-        presentations = builtin(stem).presentations
-    elif not path.exists():
-        raise DslError(f"no such file or builtin: {file_arg}")
-    else:
-        presentations = _file_presentations(path)
-    presentations = _pick_algebra(presentations, algebra)
-    if len(presentations) == 1:
-        return next(iter(presentations.values()))
-    raise DslError(f"file declares several algebras "
-                   f"({', '.join(presentations)}); pick one with --algebra")
-
-
 def cmd_normalize(args) -> int:
-    pres = _resolve_presentation(args.file, args.algebra)
+    presentations = _pick_algebra(_file_presentations(args.file), args.algebra)
+    if len(presentations) > 1:
+        raise DslError(f"file declares several algebras "
+                       f"({', '.join(presentations)}); pick one with --algebra")
+    (pres,) = presentations.values()
     poly = parse_expression(args.expression, pres)
     print(render_poly(pres.normalize(poly), pres))
     return 0
 
 
 def _emit(bundle, fmt: str) -> int:
-    if fmt == "json":
-        print(bundle.render_json())
-    else:
-        print(bundle.render_text())
+    print(bundle.render_json() if fmt == "json" else bundle.render_text())
     return 0 if bundle.passed else 1
 
 
@@ -90,12 +88,6 @@ def _builtin_presentation(name: str):
     raise DslError(f"no builtin algebra named {name!r}")
 
 
-def _samples(args) -> dict:
-    """--samples as a keyword argument; when it is not given, each suite
-    keeps its own default (10000 for cocycle, 1000 otherwise)."""
-    return {} if args.samples is None else {"samples": args.samples}
-
-
 def _tol(args) -> float:
     """--tol, which must be finite and > 0: NaN or inf would pass any residual."""
     if not (0 < args.tol < math.inf):
@@ -103,64 +95,85 @@ def _tol(args) -> float:
     return args.tol
 
 
+def _presentation(suites, args):
+    presentations = None
+    if args.file is not None:
+        presentations = _pick_algebra(_file_presentations(args.file),
+                                      args.algebra)
+    elif args.algebra is not None:
+        presentations = {args.algebra: _builtin_presentation(args.algebra)}
+    return suites.run_presentation_suite(samples=args.samples, seed=args.seed,
+                                         presentations=presentations)
+
+
+def _cocycle(suites, args):
+    return suites.run_cocycle_suite(
+        s_values=args.s or suites.ACCEPTANCE_S_VALUES, samples=args.samples,
+        seed=args.seed, tol=_tol(args), radius=args.radius)
+
+
+def _pq(suites, args):
+    tol = _tol(args)
+    if (args.p is None) != (args.q is None):
+        raise DslError("--p and --q must be given together")
+    pairs = ([(args.p, args.q)] if args.p is not None
+             else suites.ACCEPTANCE_PQ_PAIRS)
+    return suites.run_pq_suite(
+        pairs=pairs, samples=args.samples, seed=args.seed, tol=tol,
+        s_values=args.s or suites.ACCEPTANCE_S_VALUES)
+
+
+# check -> (runner: (suites module, args) -> report, the flags it reads)
+CHECKS = {
+    "presentation": (_presentation, "--file --algebra --samples --seed --format"),
+    "hopf": (lambda suites, _: suites.run_hopf_suite(), "--seed --format"),
+    "coaction": (lambda suites, _: suites.run_coaction_suite(), "--seed --format"),
+    "cocycle": (_cocycle, "--s --radius --samples --seed --tol --format"),
+    "pq": (_pq, "--p --q --s --samples --seed --tol --format"),
+}
+
+
 def cmd_check(args) -> int:
     from . import suites
     from .reports import ReportBundle
-    which = args.which
-    samples = _samples(args)
-    tol = _tol(args)
-    if which == "presentation":
-        presentations = None
-        if args.file is not None:
-            path = Path(args.file)
-            if not path.exists():
-                raise DslError(f"no such file: {args.file}")
-            presentations = _pick_algebra(_file_presentations(path),
-                                          args.algebra)
-        elif args.algebra is not None:
-            presentations = {args.algebra: _builtin_presentation(args.algebra)}
-        report = suites.timed(lambda: suites.run_presentation_suite(
-            **samples, seed=args.seed, presentations=presentations))
-    elif which == "hopf":
-        if args.algebra not in (None, "lorentz"):
-            raise DslError(f"the hopf suite runs on the lorentz builtin, "
-                           f"not {args.algebra!r}")
-        report = suites.timed(suites.run_hopf_suite)
-    elif which == "coaction":
-        report = suites.timed(suites.run_coaction_suite)
-    elif which == "cocycle":
-        s_values = args.s if args.s else list(suites.ACCEPTANCE_S_VALUES)
-        report = suites.timed(lambda: suites.run_cocycle_suite(
-            s_values=s_values, **samples, seed=args.seed, tol=tol,
-            radius=args.radius))
-    elif which == "pq":
-        if (args.p is None) != (args.q is None):
-            raise DslError("--p and --q must be given together")
-        pairs = ([(args.p, args.q)] if args.p is not None
-                 else list(suites.ACCEPTANCE_PQ_PAIRS))
-        s_values = args.s if args.s else list(suites.ACCEPTANCE_S_VALUES)
-        report = suites.timed(lambda: suites.run_pq_suite(
-            pairs=pairs, **samples, seed=args.seed, tol=tol, s_values=s_values))
-    else:  # pragma: no cover - argparse restricts choices
-        raise DslError(f"unknown check {which!r}")
+    report = suites.timed(lambda: args.run(suites, args))
     return _emit(ReportBundle([report], seed=args.seed), args.format)
 
 
 def cmd_report_all(args) -> int:
     from . import suites
-    bundle = suites.run_all(**_samples(args), cocycle_samples=args.cocycle_samples,
+    bundle = suites.run_all(samples=args.samples, cocycle_samples=args.cocycle_samples,
                             seed=args.seed, tol=_tol(args))
     return _emit(bundle, args.format)
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (echoed in reports)")
-    parser.add_argument("--samples", type=int, default=None,
-                        help="sample count for randomized checks (default: "
-                             "10000 for cocycle, 1000 otherwise)")
-    parser.add_argument("--tol", type=float, default=1e-12,
-                        help="pass/fail residual threshold")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+# Every flag a command can take; each command declares the ones it reads.
+FLAGS = {
+    "--file": dict(help=".qalg file or builtin name"),
+    "--algebra": dict(help="the one algebra to use from FILE (or the builtins)"),
+    "--p": dict(type=float, help="first model parameter"),
+    "--q": dict(type=float, help="second model parameter"),
+    "--s": dict(type=float, action="append", help="deformation parameter (repeatable)"),
+    "--radius": dict(type=float, default=2.0, help="sampling disk radius"),
+    "--samples": dict(type=int, default=1000,
+                      help="sample count for randomized checks (default: %(default)s)"),
+    "--cocycle-samples": dict(type=int, default=10000,
+                              help="the cocycle suite's sample count "
+                                   "(default: %(default)s)"),
+    "--seed": dict(type=int, default=0, help="RNG seed (echoed in reports)"),
+    "--tol": dict(type=float, default=1e-12, help="pass/fail residual threshold"),
+    "--format": dict(choices=("text", "json"), default="text"),
+}
+
+
+def _command(sub, name, flags, help=None, **defaults):
+    """A subcommand that takes exactly `flags` (a space-separated list),
+    each spelled in full, so a flag it does not read is a usage error."""
+    parser = sub.add_parser(name, help=help, allow_abbrev=False)
+    for flag in flags.split():
+        parser.add_argument(flag, **FLAGS[flag])
+    parser.set_defaults(**defaults)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,31 +182,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification engine for the deformed Lorentz/Minkowski "
                     "algebras, their coaction, and the operator model")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_norm = sub.add_parser("normalize", help="print the normal form of an expression")
+    p_norm = _command(sub, "normalize", "--algebra", func=cmd_normalize,
+                      help="print the normal form of an expression")
     p_norm.add_argument("file", help=".qalg file or builtin name")
     p_norm.add_argument("expression", help="polynomial expression, e.g. 'd a'")
-    p_norm.add_argument("--algebra", help="algebra name if the file has several")
-    p_norm.set_defaults(func=cmd_normalize)
-
-    p_check = sub.add_parser("check", help="run one verification suite")
-    p_check.add_argument("which",
-                         choices=("presentation", "hopf", "coaction", "cocycle", "pq"))
-    p_check.add_argument("--file", help=".qalg file for presentation checks")
-    p_check.add_argument("--algebra", help="algebra for presentation/hopf checks")
-    p_check.add_argument("--p", type=float, help="first model parameter")
-    p_check.add_argument("--q", type=float, help="second model parameter")
-    p_check.add_argument("--s", type=float, action="append",
-                         help="deformation parameter (repeatable)")
-    p_check.add_argument("--radius", type=float, default=2.0,
-                         help="sampling disk radius for cocycle checks")
-    _add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_all = sub.add_parser("report-all", help="run the full acceptance suite")
-    p_all.add_argument("--cocycle-samples", type=int, default=10000)
-    _add_common(p_all)
-    p_all.set_defaults(func=cmd_report_all)
+    check = sub.add_parser("check", help="run one verification suite")
+    checks = check.add_subparsers(dest="which", required=True)
+    for name, (run, flags) in CHECKS.items():
+        _command(checks, name, flags, func=cmd_check, run=run)
+    checks.choices["cocycle"].set_defaults(samples=10000)
+    _command(sub, "report-all", "--samples --cocycle-samples --seed --tol --format",
+             func=cmd_report_all, help="run the full acceptance suite")
     return parser
 
 

@@ -55,20 +55,15 @@ class Morphism:
         return cls("id", pres, pres, images)
 
     def validate(self) -> "MorphismReport":
-        """Check star-partner coherence and relation preservation.
+        """Check star-equivariance and relation preservation.
 
         The morphism is marked valid only if every residual vanishes.
         """
-        entries = []
-        for i, g in enumerate(self.domain.generators):
-            residual = self.codomain.normalize(
-                self.images[g.star_partner] - self.codomain.star(self.images[i]))
-            entries.append(_entry(f"star[{g.display()}]", residual, self.codomain))
-        stars = MorphismReport(f"star-pairing[{self.name}]", tuple(entries))
-        relations = check_relations_preserved(self)
-        self.validated = stars.ok and relations.ok
-        return MorphismReport(f"validate[{self.name}]",
-                              stars.entries + relations.entries)
+        report = MorphismReport(f"validate[{self.name}]",
+                                check_star_equivariance(self).entries
+                                + check_relations_preserved(self).entries)
+        self.validated = report.ok
+        return report
 
     def apply(self, poly: NCPolynomial) -> NCPolynomial:
         """Multiplicative, linear extension of the generator images, normalized.
@@ -127,11 +122,6 @@ class MorphismReport:
         return [e for e in self.entries if not e.ok]
 
 
-def _rule_label(rule, pres):
-    lhs = " ".join(pres.generators[i].display() for i in rule.lhs)
-    return lhs
-
-
 def check_relations_preserved(m: Morphism) -> MorphismReport:
     """apply(lhs) - apply(rhs) must normalize to zero for every domain rule."""
     entries = []
@@ -139,7 +129,8 @@ def check_relations_preserved(m: Morphism) -> MorphismReport:
         lhs_img = m.apply(NCPolynomial.word(rule.lhs))
         rhs_img = m.apply(rule.rhs)
         residual = m.codomain.normalize(lhs_img - rhs_img)
-        entries.append(_entry(_rule_label(rule, m.domain), residual, m.codomain))
+        label = " ".join(m.domain.generators[i].display() for i in rule.lhs)
+        entries.append(_entry(label, residual, m.codomain))
     return MorphismReport(f"relations[{m.name}]", tuple(entries))
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -72,7 +73,7 @@ def test_unknown_file_exits_2(capsys):
 
 
 def test_check_hopf_passes(capsys):
-    code, out, _ = run(capsys, "check", "hopf", "--algebra", "lorentz")
+    code, out, _ = run(capsys, "check", "hopf")
     assert code == 0
     assert "PASS" in out
 
@@ -179,6 +180,57 @@ def test_readme_cli_section_names_every_flag():
     assert named == long_options(build_parser())
 
 
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines()]
+    examples = [argv for argv in examples if argv]
+    assert examples and all(argv[0] == "qmink" for argv in examples)
+    for argv in examples:
+        build_parser().parse_args(argv[1:])  # exits 2 on a flag it does not take
+
+
+# Every flag of some `check` subcommand, with a value for it.
+CHECK_FLAGS = {"--file": "/nonexistent", "--algebra": "nope", "--p": "2",
+                   "--q": "3", "--s": "0.7", "--radius": "2", "--samples": "0",
+                   "--seed": "1", "--tol": "1e-12", "--format": "json"}
+
+
+def check_flags(which) -> set:
+    """The --long options of `qmink check WHICH`."""
+    parser = build_parser()
+    for name in ("check", which):
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    return long_options(parser)
+
+
+@pytest.mark.parametrize("which, flag", [
+    (which, flag) for which in ("presentation", "hopf", "coaction", "cocycle", "pq")
+    for flag in CHECK_FLAGS if flag not in check_flags(which)])
+def test_a_flag_a_check_does_not_read_exits_2(capsys, which, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", which, flag, CHECK_FLAGS[flag]])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} " in captured.err
+
+
+def test_each_check_takes_only_the_flags_it_reads():
+    taken = {which: check_flags(which) for which in
+             ("presentation", "hopf", "coaction", "cocycle", "pq")}
+    assert taken == {
+        "presentation": {"--file", "--algebra", "--samples", "--seed", "--format"},
+        "hopf": {"--seed", "--format"},
+        "coaction": {"--seed", "--format"},
+        "cocycle": {"--s", "--radius", "--samples", "--seed", "--tol", "--format"},
+        "pq": {"--p", "--q", "--s", "--samples", "--seed", "--tol", "--format"}}
+    assert sum(map(len, taken.values())) == 22
+
+
 def test_pq_requires_both_parameters(capsys):
     code, _, err = run(capsys, "check", "pq", "--p", "2")
     assert code == 2
@@ -210,6 +262,45 @@ def test_unreadable_file_is_a_usage_error(tmp_path, capsys, argv):
     (line,) = err.splitlines()
     path = argv[1] if argv[0] == "normalize" else argv[-1]
     assert line.startswith(f"qmink: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("command", [("normalize", "{}", "d a"),
+                                     ("check", "presentation", "--file", "{}")])
+@pytest.mark.parametrize("path", ["/nonexistent/dir/lorentz.qalg", "./lorentz.qalg",
+                                  "{tmp}/lorentz", "{tmp}/lorentz.qalg"])
+def test_a_missing_path_with_a_directory_is_no_builtin(tmp_path, capsys,
+                                                       monkeypatch, command, path):
+    monkeypatch.chdir(tmp_path)
+    path = path.format(tmp=tmp_path)
+    code, out, err = run(capsys, *(a.format(path) for a in command))
+    assert code == 2
+    assert out == ""
+    assert err == f"qmink: no such file: {path}\n"
+
+
+@pytest.mark.parametrize("name", ["lorentz", "lorentz.qalg"])
+def test_check_presentation_reads_a_bare_builtin_name_as_normalize_does(
+        capsys, name):
+    code, out, _ = run(capsys, "normalize", name, "d a")
+    assert (code, out) == (0, "1 + b c\n")
+    code, out, _ = run(capsys, "check", "presentation", "--file", name,
+                       "--samples", "20", "--format", "json")
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert [c["name"] for c in report["checks"]] == [
+        "lorentz: termination", "lorentz: local confluence",
+        "lorentz: dual-strategy normal forms"]
+    assert (code, out) == run(capsys, "check", "presentation", "--algebra",
+                              "lorentz", "--samples", "20", "--format", "json")[:2]
+
+
+def test_a_file_in_the_working_directory_comes_before_a_builtin(
+        tmp_path, capsys, monkeypatch):
+    (tmp_path / "lorentz.qalg").write_text(
+        "algebra plane {\n  gen u v;\n  rel v u = q^2 u v;\n}\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "normalize", "lorentz.qalg", "v u")
+    assert (code, out) == (0, "q^2 u v\n")
 
 
 def test_step_limit_overrun_exits_2(capsys, monkeypatch):

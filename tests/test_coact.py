@@ -292,6 +292,38 @@ def test_invalid_morphism_is_not_marked_valid():
     assert not wrong.validated
 
 
+def test_validate_is_star_equivariance_then_relations():
+    lor = builtin("lorentz").presentation("lorentz")
+    images = dict(delta().images)
+    images[lor.index_of("a'")] = images[lor.index_of("a")]  # a wrong image for a'
+    wrong = Morphism("wrong", lor, delta().codomain, images)
+    morphisms = [m for name in BUILTIN_NAMES for m in builtin(name).morphisms.values()]
+    for m in morphisms + [wrong]:
+        stars = coact.check_star_equivariance(m).entries
+        report = m.validate()
+        assert report.entries == stars + coact.check_relations_preserved(m).entries
+        assert m.validated == report.ok
+    assert [e.label for e in stars if not e.ok] == ["a", "a'"]
+    assert not wrong.validated
+
+
+def test_loader_names_the_morphism_and_entry_it_cannot_validate(monkeypatch):
+    import qmink.dsl
+    from qmink.dsl import DslError
+    source = qmink.dsl._load_source
+    monkeypatch.setattr(qmink.dsl, "_load_source", lambda name: (
+        source(name).replace("a -> a@a + b@c;", "a -> a@a;")
+        if name == "lorentz" else source(name)))
+    builtin.cache_clear()
+    try:
+        with pytest.raises(DslError) as exc:
+            builtin("lorentz")
+    finally:
+        builtin.cache_clear()
+    assert str(exc.value) == ("builtin lorentz: morphism Delta does not "
+                              "preserve d a (residual -b c@b c - d b@d c)")
+
+
 def test_flipping_one_constant_breaks_star_consistency():
     """Flipping a single deformation constant makes the relation set
     star-inconsistent: its closure would need the torsion relation
