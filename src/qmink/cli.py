@@ -168,11 +168,12 @@ FLAGS = {
 
 def _command(sub, name, flags, help=None, **defaults):
     """A subcommand that takes exactly `flags` (a space-separated list),
-    each spelled in full, so a flag it does not read is a usage error."""
+    each spelled in full, so a flag it does not read is a usage error,
+    reported with this subcommand's usage line."""
     parser = sub.add_parser(name, help=help, allow_abbrev=False)
     for flag in flags.split():
         parser.add_argument(flag, **FLAGS[flag])
-    parser.set_defaults(**defaults)
+    parser.set_defaults(parser=parser, **defaults)
     return parser
 
 
@@ -197,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (DslError, EvalOverflowError, StepLimitExceeded, ValueError) as exc:

@@ -3,8 +3,8 @@
 A morphism between presented *-algebras is fixed by the images of the
 unstarred generators; starred images are forced by star-equivariance.
 Equality of morphisms is decided on generators through normal forms, which
-is legitimate exactly because the builtin codomain presentations are
-certified locally confluent first.
+is legitimate because the builtin codomains terminate (the loader checks it)
+and are locally confluent (`qmink check presentation` and the tests check it).
 
 The checks below are all exact: residuals are polynomials over the Laurent
 scalar ring and a check passes iff every residual normalizes to zero.
@@ -31,7 +31,7 @@ class Morphism:
         self.domain = domain
         self.codomain = codomain
         self.images = dict(images)
-        self.validated = False
+        self.reports = ()  # validate()'s star-equivariance and relations reports
 
     @classmethod
     def from_unstarred(cls, name, domain, codomain, unstarred_images):
@@ -54,16 +54,16 @@ class Morphism:
         images = {i: NCPolynomial.word((i,)) for i in range(len(pres.generators))}
         return cls("id", pres, pres, images)
 
-    def validate(self) -> "MorphismReport":
-        """Check star-equivariance and relation preservation.
+    @property
+    def validated(self) -> bool:  # validate() ran and every residual is zero
+        return bool(self.reports) and all(r.ok for r in self.reports)
 
-        The morphism is marked valid only if every residual vanishes.
-        """
-        report = MorphismReport(f"validate[{self.name}]",
-                                check_star_equivariance(self).entries
-                                + check_relations_preserved(self).entries)
-        self.validated = report.ok
-        return report
+    def validate(self) -> "MorphismReport":
+        """Check star-equivariance, then relation preservation; each call
+        recomputes both and keeps their two reports in `reports`."""
+        self.reports = check_star_equivariance(self), check_relations_preserved(self)
+        return MorphismReport(f"validate[{self.name}]",
+                              self.reports[0].entries + self.reports[1].entries)
 
     def apply(self, poly: NCPolynomial) -> NCPolynomial:
         """Multiplicative, linear extension of the generator images, normalized.

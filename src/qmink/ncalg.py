@@ -172,7 +172,9 @@ class Presentation:
 
     Construction is deliberately lenient (bad rule sets are representable)
     so that check_termination / check_local_confluence have something to
-    report on; the builtin loaders assert both checks.
+    report on; the .qalg parser, and so the builtin loader, runs
+    check_termination, and local confluence is checked only by `qmink check
+    presentation` and the tests.
     """
 
     def __init__(self, name: str, generators: Sequence[Generator], rules=(),

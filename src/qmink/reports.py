@@ -39,13 +39,9 @@ class Residual(float):
 
 
 def worst_of(residuals) -> float:
-    """The first non-finite residual, else the largest (0.0 for none).
-
-    max() alone can skip a NaN, and a NaN or inf residual must fail.
-    """
-    residuals = list(residuals)
-    return next((r for r in residuals if not math.isfinite(r)),
-                max(residuals, default=0.0))
+    """The first NaN or inf residual, else the first largest (0.0 for none):
+    the value `fold_max` folds them to."""
+    return fold_max((0.0, 0), residuals)[0]
 
 
 def fold_max(best, col, start=0):

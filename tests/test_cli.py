@@ -217,6 +217,7 @@ def test_a_flag_a_check_does_not_read_exits_2(capsys, which, flag):
     assert exc.value.code == 2
     assert captured.out == ""
     assert f"unrecognized arguments: {flag} " in captured.err
+    assert captured.err.startswith(f"usage: qmink check {which} ")
 
 
 def test_each_check_takes_only_the_flags_it_reads():

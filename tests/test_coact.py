@@ -288,6 +288,7 @@ def test_invalid_morphism_is_not_marked_valid():
     images = {lor.index_of(n): parse_expression(f"{n}@{n}", lor2)
               for n in ("a", "b", "c", "d")}
     wrong = Morphism.from_unstarred("wrong", lor, lor2, images)
+    assert not wrong.validated  # validate() has not run
     wrong.validate()
     assert not wrong.validated
 
@@ -322,6 +323,65 @@ def test_loader_names_the_morphism_and_entry_it_cannot_validate(monkeypatch):
         builtin.cache_clear()
     assert str(exc.value) == ("builtin lorentz: morphism Delta does not "
                               "preserve d a (residual -b c@b c - d b@d c)")
+
+
+def test_loader_names_the_morphism_whose_image_is_not_in_normal_form(monkeypatch):
+    """The check is a raised DslError, so it holds under python -O too."""
+    from qmink.dsl import DslError
+
+    def unnormalized(cls, name, domain, codomain, unstarred_images):
+        images = dict(unstarred_images)
+        for i, g in enumerate(domain.generators):
+            if g.starred:
+                images[i] = codomain.star(images[g.star_partner])
+        return cls(name, domain, codomain, images)
+
+    monkeypatch.setattr(Morphism, "from_unstarred", classmethod(unnormalized))
+    builtin.cache_clear()
+    try:
+        with pytest.raises(DslError) as exc:
+            builtin("lorentz")
+    finally:
+        builtin.cache_clear()
+    assert str(exc.value) == ("builtin lorentz: an image of morphism Delta is "
+                              "not in normal form")
+
+
+@pytest.mark.parametrize("which, calls", [("hopf", 3), ("coaction", 4)])
+def test_a_check_validates_each_morphism_it_loads_once(monkeypatch, capsys,
+                                                       which, calls):
+    """One call of each check per loaded morphism: the suite reports the
+    loader's validation instead of running it again."""
+    from qmink.cli import main
+    counted = {"relations": 0, "stars": 0}
+    for key, attr in (("relations", "check_relations_preserved"),
+                      ("stars", "check_star_equivariance")):
+        def counting(m, key=key, check=getattr(coact, attr)):
+            counted[key] += 1
+            return check(m)
+        monkeypatch.setattr(coact, attr, counting)
+    builtin.cache_clear()
+    try:
+        assert main(["check", which]) == 0
+    finally:
+        builtin.cache_clear()
+    assert "overall: PASS" in capsys.readouterr().out
+    assert counted == {"relations": calls, "stars": calls}
+
+
+@pytest.mark.parametrize("run, bundle, name, kind", [
+    ("run_hopf_suite", "lorentz", "Delta", "comultiplication"),
+    ("run_coaction_suite", "coaction", "DeltaH", "coaction")])
+def test_the_suite_reports_what_a_fresh_validation_finds(run, bundle, name, kind):
+    from qmink import suites
+    checks = getattr(suites, run)().checks
+    m = builtin(bundle).morphism(name)
+    assert checks[0] == suites._symbolic_check(
+        f"{kind} preserves relations", coact.check_relations_preserved(m))
+    assert checks[2] == suites._symbolic_check(
+        "star-equivariance", coact.check_star_equivariance(m))
+    assert m.reports == (coact.check_star_equivariance(m),
+                         coact.check_relations_preserved(m))
 
 
 def test_flipping_one_constant_breaks_star_consistency():
