@@ -8,8 +8,8 @@
     qmink report-all [--samples N] [--cocycle-samples N] [--tol T]
 
 Every `check` and `report-all` also take --seed S and --format text|json.
-A command takes only the flags that can change its output, spelled in
-full; any other flag is a usage error.  FILE is a .qalg path or, when no
+A command takes only the flags that can change its output, in full and
+after it; any other flag is a usage error.  FILE is a .qalg path or, when no
 such file exists, a bare builtin name (lorentz, minkowski, coaction,
 classical, with or without .qalg, and no directory part).  Exit codes: 0
 all checks passed, 1 a check failed, 2 usage or parse error.  Only `check`
@@ -81,10 +81,9 @@ def _emit(bundle, fmt: str) -> int:
 
 
 def _builtin_presentation(name: str):
-    for bundle_name in BUILTIN_NAMES:
-        bundle = builtin(bundle_name)
-        if name in bundle.presentations:
-            return bundle.presentation(name)
+    for file in BUILTIN_NAMES:
+        if name in builtin(file).presentations:
+            return builtin(file).presentation(name)
     raise DslError(f"no builtin algebra named {name!r}")
 
 
@@ -198,7 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    parser = build_parser()
+    lead = next(iter(sys.argv[1:] if argv is None else argv), "").partition("=")[0]
+    if lead in FLAGS:  # else argparse would read its value as the command
+        parser.error(f"{lead} goes after the command")
+    args, extra = parser.parse_known_args(argv)
     if extra:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:

@@ -42,13 +42,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from importlib import resources
 
 from .coact import Morphism
 from .ncalg import (Generator, NCPolynomial, Presentation, RewriteRule,
                     check_termination, render_poly, render_word, star_closure,
-                    tensor_many)
+                    tensor)
 from .scalars import Scalar
 
 BUILTIN_NAMES = ("lorentz", "minkowski", "coaction", "classical")
@@ -127,6 +127,12 @@ class ParsedFile:
     morphisms: dict
     uses: list = field(default_factory=list)  # builtins named by `use`
 
+    def presentation(self, name) -> Presentation:
+        return self.presentations[name]
+
+    def morphism(self, name) -> Morphism:
+        return self.morphisms[name]
+
 
 class _Parser:
     def __init__(self, text, filename="<string>", star_closed=False):
@@ -181,10 +187,10 @@ class _Parser:
             if tok.text not in BUILTIN_NAMES:
                 raise self.error(f"unknown builtin {tok.text!r}; expected one "
                                  f"of {', '.join(BUILTIN_NAMES)}", tok)
-            bundle = builtin(tok.text)
-            for pres in bundle.presentations.values():
+            used = builtin(tok.text)
+            for pres in used.presentations.values():
                 self._declare(parsed.presentations, "algebra", pres, tok)
-            for m in bundle.morphisms.values():
+            for m in used.morphisms.values():
                 self._declare(parsed.morphisms, "morphism", m, tok)
             parsed.uses.append(tok.text)
             if self.peek().kind != ",":
@@ -333,7 +339,7 @@ class _Parser:
         for tok in factors:
             if tok.text not in presentations:
                 raise self.error(f"unknown algebra {tok.text!r}", tok)
-        codomain = tensor_many([presentations[t.text] for t in factors])
+        codomain = reduce(tensor, [presentations[t.text] for t in factors])
         self.expect("{")
         images = {}
         while self.peek().kind != "}":
@@ -546,27 +552,15 @@ def serialize_file(parsed: ParsedFile) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuiltinBundle:
-    name: str
-    presentations: dict
-    morphisms: dict
-
-    def presentation(self, name) -> Presentation:
-        return self.presentations[name]
-
-    def morphism(self, name) -> Morphism:
-        return self.morphisms[name]
-
-
 def _load_source(name: str) -> str:
     return (resources.files("qmink.data") / f"{name}.qalg").read_text("utf-8")
 
 
 @lru_cache(maxsize=None)
-def builtin(name: str) -> BuiltinBundle:
-    """Load a builtin file: algebras star-closed and termination-checked, morphisms
-    normalized and validated (which the suites report), `use`d ones shared as is."""
+def builtin(name: str) -> ParsedFile:
+    """Load a builtin file as its ParsedFile: algebras star-closed and
+    termination-checked, morphisms normalized and validated (which the suites
+    report), `use`d ones shared as is."""
     if name not in BUILTIN_NAMES:
         raise KeyError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
     parsed = parse(_load_source(name), filename=f"{name}.qalg", star_closed=True)
@@ -581,7 +575,7 @@ def builtin(name: str) -> BuiltinBundle:
             raise DslError(f"builtin {name}: morphism {mname} does not "
                            f"preserve {bad.label} (residual {bad.rendered})",
                            filename=f"{name}.qalg")
-    return BuiltinBundle(name, parsed.presentations, parsed.morphisms)
+    return parsed
 
 
 def parse_expression(text: str, pres: Presentation) -> NCPolynomial:

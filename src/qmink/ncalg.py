@@ -177,8 +177,7 @@ class Presentation:
     presentation` and the tests.
     """
 
-    def __init__(self, name: str, generators: Sequence[Generator], rules=(),
-                 star_closed: bool = False):
+    def __init__(self, name: str, generators: Sequence[Generator], rules=()):
         generators = tuple(generators)
         for i, g in enumerate(generators):
             j = g.star_partner
@@ -189,7 +188,6 @@ class Presentation:
         self.name = name
         self.generators = generators
         self.rules = tuple(rules)
-        self.star_closed = bool(star_closed)
         self.nlegs = 1 + max((g.leg for g in generators), default=0)
         by_first = {}
         by_lhs = {}
@@ -235,8 +233,7 @@ class Presentation:
         return (isinstance(other, Presentation)
                 and self.name == other.name
                 and self.generators == other.generators
-                and self.rules == other.rules
-                and self.star_closed == other.star_closed)
+                and self.rules == other.rules)
 
     def __repr__(self):
         return (f"Presentation({self.name!r}, {len(self.generators)} generators, "
@@ -251,9 +248,8 @@ class Presentation:
     def gen(self, name: str, leg: int = 0) -> NCPolynomial:
         return NCPolynomial.word((self.index_of(name, leg),))
 
-    def with_rules(self, rules, star_closed=None) -> "Presentation":
-        closed = self.star_closed if star_closed is None else star_closed
-        return Presentation(self.name, self.generators, rules, closed)
+    def with_rules(self, rules) -> "Presentation":
+        return Presentation(self.name, self.generators, rules)
 
     # -- term order ----------------------------------------------------------
 
@@ -507,8 +503,9 @@ def star_closure(pres: Presentation) -> Presentation:
     """Close the rule set under the *-involution.
 
     For every rule, the star image of (lhs - rhs) must normalize to zero;
-    residuals are oriented and appended until stable.  The result carries
-    the star_closed flag and has all right-hand sides in normal form.
+    residuals are oriented and appended until stable.  In the result every
+    rule's star image normalizes to zero and every right-hand side is in
+    normal form.
     """
     rules = list(pres.rules)
     while True:
@@ -528,49 +525,38 @@ def star_closure(pres: Presentation) -> Presentation:
     for rule in rules:
         others = pres.with_rules([r for r in rules if r is not rule])
         tidy.append(RewriteRule(rule.lhs, others.normalize(rule.rhs)))
-    return pres.with_rules(tidy, star_closed=True)
+    return pres.with_rules(tidy)
 
 
 def tensor(p1: Presentation, p2: Presentation) -> Presentation:
     """Minimal tensor product: legs are re-tagged, cross-leg letters commute.
 
     Generators of p1 come first (legs unchanged), then p2's with legs
-    shifted; the cross-leg rules sort lower legs before higher legs with
-    commutation factor 1, so the deformation lives inside each leg.
+    shifted and every rule moved along by `embed`; the cross-leg rules sort
+    lower legs before higher legs with commutation factor 1, so the
+    deformation lives inside each leg.
     """
-    off_leg = p1.nlegs
-    off_idx = len(p1.generators)
+    off = len(p1.generators)
     gens = list(p1.generators)
     for g in p2.generators:
-        gens.append(Generator(g.name, g.star_partner + off_idx, g.starred,
-                              g.leg + off_leg, g.weight, g.heavy))
+        gens.append(Generator(g.name, g.star_partner + off, g.starred,
+                              g.leg + p1.nlegs, g.weight, g.heavy))
     rules = list(p1.rules)
     for rule in p2.rules:
-        lhs = tuple(i + off_idx for i in rule.lhs)
-        rhs = NCPolynomial({tuple(i + off_idx for i in w): c
-                            for w, c in rule.rhs.terms.items()})
-        rules.append(RewriteRule(lhs, rhs))
-    for j in range(len(p2.generators)):
-        for i in range(len(p1.generators)):
-            hi = j + off_idx
-            rules.append(RewriteRule((hi, i), NCPolynomial.word((i, hi))))
+        rules.append(RewriteRule(tuple(i + off for i in rule.lhs),
+                                 embed(rule.rhs, off)))
+    rules += [RewriteRule((j, i), NCPolynomial.word((i, j)))
+              for j in range(off, len(gens)) for i in range(off)]
     # canonical rule order makes tensoring associative on the nose
     rules.sort(key=lambda r: r.lhs)
-    return Presentation(f"{p1.name}@{p2.name}", gens, rules,
-                        star_closed=p1.star_closed and p2.star_closed)
-
-
-def tensor_many(presentations: Sequence[Presentation]) -> Presentation:
-    out = presentations[0]
-    for p in presentations[1:]:
-        out = tensor(out, p)
-    return out
+    return Presentation(f"{p1.name}@{p2.name}", gens, rules)
 
 
 def embed(poly: NCPolynomial, index_offset: int) -> NCPolynomial:
-    """Shift every generator index (used to move polynomials between legs)."""
+    """Shift every generator index: the block of a factor placed after
+    `index_offset` generators in a tensor product."""
     return NCPolynomial({tuple(i + index_offset for i in w): c
-                         for w, c in poly.terms.items()})
+                         for w, c in poly._terms.items()})
 
 
 # ---------------------------------------------------------------------------

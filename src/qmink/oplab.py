@@ -418,8 +418,11 @@ class PQModel:
 def build_pq_pair(p: float, q: float) -> PQModel:
     if not (0 < p < math.inf and 0 < q < math.inf):
         raise ValueError(f"p and q must be finite and positive, not p={p!r}, q={q!r}")
-    a = math.log(p / q)
-    c = -math.log(p * q)
+    ratio, product = p / q, p * q  # may overflow to inf or underflow to 0
+    if not (0 < ratio < math.inf and 0 < product < math.inf):
+        raise ValueError(f"p={p!r}, q={q!r} is outside the model's double-precision "
+                         f"range (p/q = {ratio!r}, p*q = {product!r})")
+    a, c = math.log(ratio), -math.log(product)
     R = ShiftMultiplierOperator({(0.0, c): ExpLin(1.0, 0.0)})
     S = ShiftMultiplierOperator({(a, 0.0): ExpLin(0.0, 1.0)})
     model = PQModel(p, q, a, c, R, S)

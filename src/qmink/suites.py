@@ -109,15 +109,15 @@ def run_presentation_suite(samples: int = 1000, seed: int = 0,
                        seed, checks)
 
 
-def _morphism_suite(suite, bundle, name, gens, kind, square) -> SuiteReport:
+def _morphism_suite(suite, file, name, gens, kind, square) -> SuiteReport:
     """The builtin morphism `name`'s relations and star-equivariance, as the
     loader validated them, its square against Delta on gens, and q = 1."""
-    m = builtin(bundle).morphism(name)
+    m = builtin(file).morphism(name)
     stars, relations = m.reports
     checks = [
         _symbolic_check(f"{kind} preserves relations", relations),
         _symbolic_check(square, coact.check_cocommutativity_square(
-            m, builtin(bundle).morphism("Delta"), gens)),
+            m, builtin(file).morphism("Delta"), gens)),
         _symbolic_check("star-equivariance", stars),
         _symbolic_check("classical limit q = 1", coact.classical_limit_compare(
             m, builtin("classical").morphism(name))),

@@ -442,6 +442,33 @@ def test_pq_parameters_outside_double_range_exit_2(capsys, p):
     assert f"p={value}, q={value}" in line
 
 
+@pytest.mark.parametrize("p, q", [("1e300", "1e300"), ("1e-300", "1e300")])
+def test_pq_parameters_whose_ratio_or_product_leaves_double_range_exit_2(
+        capsys, p, q):
+    # p q overflows to inf, or p / q underflows to 0, before any logarithm
+    code, out, err = run(capsys, "check", "pq", "--p", p, "--q", q,
+                         "--samples", "10")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"qmink: p={float(p)!r}, q={float(q)!r} is outside "
+                           "the model's double-precision range (")
+
+
+@pytest.mark.parametrize("argv", [["--seed", "1", "check", "hopf"],
+                                  ["--seed=1", "check", "hopf"],
+                                  ["--format", "json", "report-all"]])
+def test_a_flag_before_the_command_is_named(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    flag = argv[0].partition("=")[0]
+    assert captured.err.splitlines()[-1] == (
+        f"qmink: error: {flag} goes after the command")
+
+
 @pytest.mark.parametrize("s", ["100", "-100", "89"])
 def test_pq_deformation_outside_double_range_exits_2(capsys, s):
     code, out, err = run(capsys, "check", "pq", "--s", s, "--samples", "10")

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from qmink import coact
 from qmink.coact import Morphism
 from qmink.dsl import BUILTIN_NAMES, builtin, parse_expression
-from qmink.ncalg import NCPolynomial, tensor
+from qmink.ncalg import (Generator, NCPolynomial, Presentation, RewriteRule,
+                         tensor)
 from qmink.scalars import GaussianRational, Scalar
 
 
@@ -194,6 +195,115 @@ def test_square_type_checks():
         coact.check_cocommutativity_square(delta(), delta_h(), ("a",))
 
 
+def test_leg_extend_rejects_a_bad_side():
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        coact.leg_extend(delta(), "middle", delta().domain)
+
+
+def builtin_morphisms():
+    """Every builtin morphism once (a `use`d one is the same object)."""
+    found = {}
+    for name in BUILTIN_NAMES:
+        for m in builtin(name).morphisms.values():
+            found.setdefault(id(m), m)
+    return list(found.values())
+
+
+def shifted(poly, off):
+    return NCPolynomial({tuple(i + off for i in w): c for w, c in poly.terms.items()})
+
+
+def two_branch_tensor(p1, p2):
+    """The tensor product written out: p2's generators and rules moved past p1's."""
+    off = len(p1.generators)
+    gens = list(p1.generators) + [
+        Generator(g.name, g.star_partner + off, g.starred, g.leg + p1.nlegs,
+                  g.weight, g.heavy) for g in p2.generators]
+    rules = list(p1.rules) + [
+        RewriteRule(tuple(i + off for i in r.lhs), shifted(r.rhs, off))
+        for r in p2.rules]
+    rules += [RewriteRule((off + j, i), NCPolynomial.word((i, off + j)))
+              for j in range(len(p2.generators)) for i in range(off)]
+    return Presentation(f"{p1.name}@{p2.name}", gens,
+                        sorted(rules, key=lambda r: r.lhs))
+
+
+def two_branch_leg_extend(m, side, passive):
+    """m (x) id and id (x) m, one branch each: the oracle for leg_extend."""
+    if side == "left":
+        images = dict(m.images)
+        cod_block = len(m.codomain.generators)
+        for j in range(len(passive.generators)):
+            images[len(m.domain.generators) + j] = NCPolynomial.word((cod_block + j,))
+        return Morphism(f"{m.name}*id", two_branch_tensor(m.domain, passive),
+                        two_branch_tensor(m.codomain, passive), images)
+    off = len(passive.generators)
+    images = {i: NCPolynomial.word((i,)) for i in range(off)}
+    for j, img in m.images.items():
+        images[off + j] = shifted(img, off)
+    return Morphism(f"id*{m.name}", two_branch_tensor(passive, m.domain),
+                    two_branch_tensor(passive, m.codomain), images)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_leg_extend_matches_the_two_branch_construction(side):
+    morphisms = builtin_morphisms()
+    assert len(morphisms) == 4  # Delta and DeltaH, quantum and classical
+    for m in morphisms:
+        for passive in (m.domain, builtin("lorentz").presentation("lorentz")):
+            got = coact.leg_extend(m, side, passive)
+            want = two_branch_leg_extend(m, side, passive)
+            assert got.name == want.name
+            assert got.domain == want.domain
+            assert got.codomain == want.codomain
+            assert got.images == want.images
+
+
+def random_normal_form(pres, rng):
+    out = NCPolynomial.zero()
+    for _ in range(3):
+        word = tuple(rng.randrange(len(pres.generators))
+                     for _ in range(rng.randint(0, 4)))
+        coeff = Scalar.of(GaussianRational.of(rng.randint(-2, 2), rng.randint(-1, 1)),
+                          rng.randint(-2, 2))
+        out = out + NCPolynomial.word(word, coeff)
+    return pres.normalize(out)
+
+
+def residual_codomains():
+    """Every builtin algebra, every builtin morphism's codomain, and the
+    3-leg codomains of the coassociativity and coaction squares."""
+    found = {}
+    for name in BUILTIN_NAMES:
+        for pres in builtin(name).presentations.values():
+            found.setdefault(pres.name, pres)
+    for m in builtin_morphisms():
+        found.setdefault(m.codomain.name, m.codomain)
+    for co in (delta(), delta_h()):
+        square = coact.leg_extend(co, "left", delta().domain).codomain
+        found.setdefault(square.name, square)
+    return found
+
+
+def test_a_difference_of_normal_forms_is_a_normal_form():
+    # what lets each check skip normalizing its residual lhs - rhs
+    codomains = residual_codomains()
+    assert {"lorentz@lorentz@lorentz", "minkowski@lorentz@lorentz"} <= set(codomains)
+    rng = random.Random(17)
+    cancelled = 0
+    for pres in codomains.values():
+        for _ in range(8):
+            p = random_normal_form(pres, rng)
+            # q shares some of p's terms, so that p - q cancels some words
+            shared = NCPolynomial({w: c for w, c in p.terms.items()
+                                   if rng.random() < 0.5})
+            q = random_normal_form(pres, rng) + shared
+            assert pres.normalize(q) == q
+            assert pres.normalize(p - q) == p - q
+            cancelled += len(p.terms) + len(q.terms) > len((p - q).terms)
+    assert cancelled
+
+
 # -- star equivariance -----------------------------------------------------------
 
 
@@ -270,7 +380,9 @@ def test_builtin_morphisms_are_validated():
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_morphism_images_are_in_normal_form(name):
     for m in builtin(name).morphisms.values():
-        assert m.codomain.star_closed
+        cod = m.codomain
+        assert all(cod.normalize(cod.star(rule.as_polynomial())).is_zero()
+                   for rule in cod.rules)
         for img in m.images.values():
             assert m.codomain.normalize(img) == img
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmink.dsl import (BUILTIN_NAMES, DslError, _load_source, builtin, parse,
-                       parse_expression, render_poly, serialize,
+from qmink.dsl import (BUILTIN_NAMES, DslError, ParsedFile, _load_source,
+                       builtin, parse, parse_expression, render_poly, serialize,
                        serialize_file)
 from qmink.ncalg import NCPolynomial, Presentation, check_local_confluence
 from qmink.scalars import Scalar
@@ -101,6 +101,15 @@ def test_use_brings_builtin_objects_into_scope():
     # the same builtin object may come into scope twice
     assert parse("use lorentz, coaction;").presentations["lorentz"] is \
         lor.presentation("lorentz")
+
+
+def test_builtin_returns_the_parsed_file():
+    coaction = builtin("coaction")
+    assert isinstance(coaction, ParsedFile)
+    assert coaction.uses == ["minkowski", "lorentz"]
+    assert coaction.presentation("lorentz") is builtin("lorentz").presentation("lorentz")
+    assert coaction.morphism("DeltaH") is coaction.morphisms["DeltaH"]
+    assert builtin("coaction") is coaction  # loaded once per process
 
 
 def test_use_of_unknown_builtin_is_located_at_its_token():

@@ -32,7 +32,7 @@ def nf(pres, text):
 # -- abstract helpers ---------------------------------------------------------
 
 
-def abstract_presentation(names, rules_spec, star_closed=False):
+def abstract_presentation(names, rules_spec):
     """Self-adjoint generators named in order; rules as (lhs, rhs-poly) strings."""
     gens = tuple(Generator(n, i) for i, n in enumerate(names))
     pres = Presentation("abstract", gens)
@@ -40,7 +40,7 @@ def abstract_presentation(names, rules_spec, star_closed=False):
     for lhs_text, rhs_text in rules_spec:
         lhs = tuple(names.index(ch) for ch in lhs_text)
         rules.append(RewriteRule(lhs, parse_expression(rhs_text, pres)))
-    return pres.with_rules(rules, star_closed=star_closed)
+    return pres.with_rules(rules)
 
 
 # -- normal forms -------------------------------------------------------------
@@ -543,6 +543,5 @@ def test_triple_tensors_stay_confluent():
 
 def test_tensor_rules_are_star_stable():
     t = tensor(minkowski(), lorentz())
-    assert t.star_closed
     for rule in t.rules:
         assert t.normalize(t.star(rule.as_polynomial())).is_zero()
