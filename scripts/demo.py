@@ -35,7 +35,7 @@ def show_morphisms():
         image = delta_h.apply(delta_h.domain.gen(name))
         print(f"  DeltaH({name}) = {render_poly(image, delta_h.codomain)}")
     square = coact.check_cocommutativity_square(
-        delta_h, builtin("coaction").morphism("Delta"), ("x", "y", "w"))
+        delta_h, builtin("coaction").morphism("Delta"))
     print(f"\ncoaction identity on generators: "
           f"{'all residuals zero' if square.ok else 'FAILED'}")
 

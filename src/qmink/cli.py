@@ -12,7 +12,8 @@ A command takes only the flags that can change its output, in full and
 after it; any other flag is a usage error.  FILE is a .qalg path or, when no
 such file exists, a bare builtin name (lorentz, minkowski, coaction,
 classical, with or without .qalg, and no directory part).  Exit codes: 0
-all checks passed, 1 a check failed, 2 usage or parse error.  Only `check`
+all checks passed, 1 a check failed, 2 usage or parse error, 3 internal
+error (a traceback, then one `qmink: internal error:` line).  Only `check`
 and `report-all` import the suites, so `normalize` starts without the
 numeric modules.  `report-all` runs the exact suites in a forked child
 beside the numeric ones where it can (see `suites.run_all`); its output
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from pathlib import Path
 
 from .dsl import (BUILTIN_NAMES, DslError, builtin, parse, parse_expression,
@@ -31,7 +33,7 @@ from .dsl import (BUILTIN_NAMES, DslError, builtin, parse, parse_expression,
 from .ncalg import StepLimitExceeded
 from .scalars import EvalOverflowError
 
-USAGE_ERROR = 2
+USAGE_ERROR, INTERNAL_ERROR = 2, 3
 
 
 def _file_presentations(file_arg: str) -> dict:
@@ -187,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("file", help=".qalg file or builtin name")
     p_norm.add_argument("expression", help="polynomial expression, e.g. 'd a'")
     check = sub.add_parser("check", help="run one verification suite")
+    parser.set_defaults(check_parser=check)
     checks = check.add_subparsers(dest="which", required=True)
     for name, (run, flags) in CHECKS.items():
         _command(checks, name, flags, func=cmd_check, run=run)
@@ -198,9 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    lead = next(iter(sys.argv[1:] if argv is None else argv), "").partition("=")[0]
-    if lead in FLAGS:  # else argparse would read its value as the command
-        parser.error(f"{lead} goes after the command")
+    # argparse would read a flag placed where the command or check name goes,
+    # with its value, as that name: name the flag instead
+    words = [*(sys.argv[1:] if argv is None else argv), "", ""]
+    nested = words[0] == "check"
+    flag = words[nested].partition("=")[0]
+    if flag in FLAGS:
+        (parser.get_default("check_parser") if nested else parser).error(
+            f"{flag} goes after the {'check name' if nested else 'command'}")
     args, extra = parser.parse_known_args(argv)
     if extra:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
@@ -209,6 +217,10 @@ def main(argv=None) -> int:
     except (DslError, EvalOverflowError, StepLimitExceeded, ValueError) as exc:
         print(f"qmink: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:  # a fault of qmink's, not a failed check
+        traceback.print_exc()
+        print(f"qmink: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

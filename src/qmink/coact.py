@@ -154,13 +154,15 @@ def leg_extend(m: Morphism, side: str, passive: Presentation) -> Morphism:
                     tensor(m1.codomain, m2.codomain), images)
 
 
-def check_cocommutativity_square(coaction: Morphism, comult: Morphism,
-                                 gens) -> MorphismReport:
-    """Compare (coaction (x) id) o coaction with (id (x) comult) o coaction.
+def check_cocommutativity_square(coaction: Morphism,
+                                 comult: Morphism) -> MorphismReport:
+    """Compare (coaction (x) id) o coaction with (id (x) comult) o coaction
+    on every unstarred generator of coaction's domain, in declaration order.
 
     With coaction = comult this is coassociativity; with the quantum
     Minkowski coaction against the quantum Lorentz comultiplication it is
-    the defining compatibility square of a right coaction.
+    the defining compatibility square of a right coaction.  On a starred
+    generator it is the star of its partner's, by star-equivariance.
     """
     left = leg_extend(coaction, "left", comult.domain)
     right = leg_extend(comult, "right", coaction.domain)
@@ -168,11 +170,11 @@ def check_cocommutativity_square(coaction: Morphism, comult: Morphism,
             and left.codomain == right.codomain):
         raise ValueError("composition square does not type-check")
     entries = []
-    for name in gens:
-        g = coaction.domain.gen(name)
-        once = coaction.apply(g)
-        residual = left.apply(once) - right.apply(once)
-        entries.append(_entry(name, residual, left.codomain))
+    for i, g in enumerate(coaction.domain.generators):
+        if not g.starred:
+            once = coaction.apply(NCPolynomial.word((i,)))
+            residual = left.apply(once) - right.apply(once)
+            entries.append(_entry(g.display(), residual, left.codomain))
     return MorphismReport(f"square[{coaction.name},{comult.name}]", tuple(entries))
 
 

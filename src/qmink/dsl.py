@@ -455,12 +455,8 @@ def _build_generators(order, selfadj, heavy, weights, filename, name_tok):
     if not order:
         return ()
 
-    def star_weight(w):
-        pairs = list(zip(w[0::2], w[1::2]))
-        out = []
-        for u, v in pairs:
-            out.extend((-v, -u))
-        return tuple(out)
+    def star_weight(w):  # each (u, v) pair becomes (-v, -u)
+        return tuple(x for u, v in zip(w[0::2], w[1::2]) for x in (-v, -u))
 
     for name in selfadj:
         w = weights.get(name)

@@ -457,16 +457,35 @@ def test_pq_parameters_whose_ratio_or_product_leaves_double_range_exit_2(
 
 @pytest.mark.parametrize("argv", [["--seed", "1", "check", "hopf"],
                                   ["--seed=1", "check", "hopf"],
-                                  ["--format", "json", "report-all"]])
+                                  ["--format", "json", "report-all"],
+                                  ["check", "--seed", "1", "hopf"],
+                                  ["check", "--format=json", "coaction"]])
 def test_a_flag_before_the_command_is_named(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    flag = argv[0].partition("=")[0]
+    nested = argv[0] == "check"
+    flag = argv[nested].partition("=")[0]
     assert captured.err.splitlines()[-1] == (
-        f"qmink: error: {flag} goes after the command")
+        f"qmink check: error: {flag} goes after the check name" if nested
+        else f"qmink: error: {flag} goes after the command")
+
+
+def test_an_internal_fault_exits_3_and_names_itself_last(capsys, monkeypatch):
+    import qmink.suites
+
+    def broken():
+        raise RuntimeError("the square lost a leg")
+
+    monkeypatch.setattr(qmink.suites, "run_hopf_suite", broken)
+    code, out, err = run(capsys, "check", "hopf")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.splitlines()[-1] == (
+        "qmink: internal error: RuntimeError: the square lost a leg")
 
 
 @pytest.mark.parametrize("s", ["100", "-100", "89"])

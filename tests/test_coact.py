@@ -179,20 +179,25 @@ def test_coassociativity_with_frozen_expansion():
 
 
 def test_coassociativity_square():
-    report = coact.check_cocommutativity_square(delta(), delta(),
-                                                ("a", "b", "c", "d"))
+    report = coact.check_cocommutativity_square(delta(), delta())
     assert report.ok
 
 
 def test_coaction_identity_square():
-    report = coact.check_cocommutativity_square(delta_h(), delta(),
-                                                ("x", "y", "w"))
+    report = coact.check_cocommutativity_square(delta_h(), delta())
     assert report.ok
+
+
+def test_squares_run_on_every_unstarred_generator_in_declaration_order():
+    hopf = coact.check_cocommutativity_square(delta(), delta())
+    assert [e.label for e in hopf.entries] == ["a", "d", "b", "c"]
+    square = coact.check_cocommutativity_square(delta_h(), delta())
+    assert [e.label for e in square.entries] == ["x", "y", "w"]
 
 
 def test_square_type_checks():
     with pytest.raises(ValueError):
-        coact.check_cocommutativity_square(delta(), delta_h(), ("a",))
+        coact.check_cocommutativity_square(delta(), delta_h())
 
 
 def test_leg_extend_rejects_a_bad_side():

@@ -464,6 +464,30 @@ def test_star_closure_respects_star_of_every_rule():
         assert p.normalize(p.star(rule.as_polynomial())).is_zero()
 
 
+def test_every_builtin_right_hand_side_is_its_own_normal_form():
+    from qmink.dsl import BUILTIN_NAMES
+    for name in BUILTIN_NAMES:
+        for pres in builtin(name).presentations.values():
+            for rule in pres.rules:
+                assert pres.normalize(rule.rhs) == rule.rhs, (pres.name, rule)
+
+
+def test_star_closure_builds_no_presentation_per_rule(monkeypatch):
+    from qmink.dsl import parse, _load_source
+    pres = parse(_load_source("lorentz"), "lorentz.qalg").presentations["lorentz"]
+    built = []
+    with_rules = Presentation.with_rules
+
+    def counting(self, rules):
+        built.append(len(rules))
+        return with_rules(self, rules)
+
+    monkeypatch.setattr(Presentation, "with_rules", counting)
+    closed = star_closure(pres)
+    # one presentation per closure round (17 rules, then 30), and the result
+    assert len(closed.rules) == 30 and built == [17, 30, 30]
+
+
 # -- orientation -----------------------------------------------------------------
 
 

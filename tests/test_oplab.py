@@ -55,6 +55,34 @@ def test_model_requires_positive_parameters():
             build_pq_pair(p, q)
 
 
+def test_model_normality_is_decided_without_sampling(monkeypatch):
+    import qmink.oplab as oplab
+    calls = []
+    monkeypatch.setattr(oplab, "op_equal", lambda *a, **k: calls.append(a))
+    for p, q in PAIRS + ((1e-3, 1e3), (7.0, 7.0)):
+        build_pq_pair(p, q)
+    assert calls == []
+
+
+def test_a_model_operator_that_is_not_normal_is_named(monkeypatch):
+    import qmink.oplab as oplab
+    # an "adjoint" of R that is S*: then R*R = S*R, but RR* = RS* = q^2 S*R
+    m, true_adjoint = build_pq_pair(2.0, 3.0), oplab.adjoint
+    monkeypatch.setattr(oplab, "adjoint", lambda a: true_adjoint(
+        m.S if a.atoms == m.R.atoms else a))
+    with pytest.raises(RuntimeError, match="^R is not normal in the model$"):
+        build_pq_pair(2.0, 3.0)
+
+
+def test_diagonal_modulus_takes_no_shift_near_zero(monkeypatch):
+    import qmink.oplab as oplab
+    m = build_pq_pair(2.0, 3.0)
+    near = ShiftMultiplierOperator({(1e-13, 0.0): ExpLin(2.0, 0.0)})
+    monkeypatch.setattr(oplab, "compose", lambda a, b: near)
+    with pytest.raises(ValueError, match="not a zero-shift multiplier"):
+        oplab._diagonal_modulus(m.R)
+
+
 def test_compose_of_r_and_s_is_a_single_atom():
     m = build_pq_pair(2.0, 3.0)
     rs = compose(m.R, m.S)
