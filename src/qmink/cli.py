@@ -13,7 +13,8 @@ after it; any other flag is a usage error.  FILE is a .qalg path or, when no
 such file exists, a bare builtin name (lorentz, minkowski, coaction,
 classical, with or without .qalg, and no directory part).  Exit codes: 0
 all checks passed, 1 a check failed, 2 usage or parse error, 3 internal
-error (a traceback, then one `qmink: internal error:` line).  Only `check`
+error (a traceback, then one `qmink: internal error:` line); a reader that
+closes stdout early changes neither the code nor stderr.  Only `check`
 and `report-all` import the suites, so `normalize` starts without the
 numeric modules.  `report-all` runs the exact suites in a forked child
 beside the numeric ones where it can (see `suites.run_all`); its output
@@ -23,7 +24,9 @@ is the same either way.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -73,12 +76,24 @@ def cmd_normalize(args) -> int:
                        f"({', '.join(presentations)}); pick one with --algebra")
     (pres,) = presentations.values()
     poly = parse_expression(args.expression, pres)
-    print(render_poly(pres.normalize(poly), pres))
+    _print(render_poly(pres.normalize(poly), pres))
     return 0
 
 
+def _print(text: str) -> None:
+    """Print a command's output.  A reader that has closed stdout (as `| head`
+    does) is no error: the exit code stays the command's own, and nothing
+    goes to stderr."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # send the unwritten rest, flushed at exit, nowhere
+        with contextlib.suppress(OSError):  # a stdout with no file descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+
+
 def _emit(bundle, fmt: str) -> int:
-    print(bundle.render_json() if fmt == "json" else bundle.render_text())
+    _print(bundle.render_json() if fmt == "json" else bundle.render_text())
     return 0 if bundle.passed else 1
 
 

@@ -168,7 +168,7 @@ def check_cocommutativity_square(coaction: Morphism,
     right = leg_extend(comult, "right", coaction.domain)
     if not (left.domain == right.domain == coaction.codomain
             and left.codomain == right.codomain):
-        raise ValueError("composition square does not type-check")
+        raise RuntimeError("composition square does not type-check")
     entries = []
     for i, g in enumerate(coaction.domain.generators):
         if not g.starred:
@@ -199,7 +199,7 @@ def _check_parallel(quantum: Presentation, classical: Presentation):
     qg = [(g.display(), g.leg) for g in quantum.generators]
     cg = [(g.display(), g.leg) for g in classical.generators]
     if qg != cg:
-        raise ValueError(
+        raise RuntimeError(
             f"presentations {quantum.name} and {classical.name} do not share "
             f"a generator list; classical comparison is undefined")
 

@@ -77,16 +77,6 @@ def dual_phase(z1, z2):
     return (z1 * z2).imag
 
 
-def dual_pairing(z1: complex, z2: complex) -> complex:
-    """The self-duality bicharacter of the additive group C: exp(i Im(z1 z2)).
-
-    This is the pairing under which the group is identified with its dual;
-    the shift-family exponents and the weight metadata of the symbolic layer
-    are expressed against it.
-    """
-    return cmath.exp(1j * dual_phase(z1, z2))
-
-
 def _exp_or_nan(z):
     """exp(z), or NaN where cmath.exp refuses an infinite imaginary part."""
     try:

@@ -1,4 +1,4 @@
-"""The .qalg presentation language: parser, serializer, builtin transcriptions.
+"""The .qalg presentation language: parser and builtin transcriptions.
 
 A source file is a sequence of blocks:
 
@@ -19,8 +19,12 @@ A source file is a sequence of blocks:
 Stars are spelled with a trailing apostrophe (a'); declared generators are
 automatically paired with starred partners unless listed selfadjoint, and
 the combined generator order is "unstarred first, then the starred partners
-in the same order".  Scalars are Gaussian rationals with powers of the
-formal unit q, e.g.  q^-4, 2*q, (1+i)*q^2, 1/2.  A parenthesized group
+in the same order".  Every algebra is star-closed as soon as it is parsed
+(`ncalg.star_closure`), so a text means one *-algebra whether it is a
+builtin or a file read by path; a closure that needs a relation whose
+leading coefficient is not invertible is a DslError at the algebra's name.
+Scalars are Gaussian rationals with powers of the formal unit q, e.g.
+q^-4, 2*q, (1+i)*q^2, 1/2.  A parenthesized group
 is any expression that reduces to a scalar: it is read by the polynomial
 grammar, and no word may be left once like terms are collected, so (1+i),
 ((2 q)) and (a - a) are scalars and (a) is an error.  In morphism images the
@@ -40,15 +44,15 @@ pairwise (-v, -u) vector (self-adjoint generators must be fixed by it).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from importlib import resources
 
 from .coact import Morphism
 from .ncalg import (Generator, NCPolynomial, Presentation, RewriteRule,
-                    check_termination, render_poly, render_word, star_closure,
-                    tensor)
+                    UnorientableRuleError, check_termination, render_poly,
+                    render_word, star_closure, tensor)
 from .scalars import Scalar
 
 BUILTIN_NAMES = ("lorentz", "minkowski", "coaction", "classical")
@@ -125,7 +129,6 @@ def _tokenize(text, filename):
 class ParsedFile:
     presentations: dict  # every algebra in scope, imported ones included
     morphisms: dict
-    uses: list = field(default_factory=list)  # builtins named by `use`
 
     def presentation(self, name) -> Presentation:
         return self.presentations[name]
@@ -135,9 +138,8 @@ class ParsedFile:
 
 
 class _Parser:
-    def __init__(self, text, filename="<string>", star_closed=False):
+    def __init__(self, text, filename="<string>"):
         self.filename = filename
-        self.star_closed = star_closed
         self.tokens = _tokenize(text, filename)
         self.pos = 0
 
@@ -192,7 +194,6 @@ class _Parser:
                 self._declare(parsed.presentations, "algebra", pres, tok)
             for m in used.morphisms.values():
                 self._declare(parsed.morphisms, "morphism", m, tok)
-            parsed.uses.append(tok.text)
             if self.peek().kind != ",":
                 break
             self.next()
@@ -277,11 +278,13 @@ class _Parser:
             raise DslError(
                 f"rule {lhs!r} is not order-decreasing (offending word {bad!r})",
                 head.line, head.col, self.filename)
-        if self.star_closed:
+        try:
             pres = star_closure(pres)
-            if not check_termination(pres).ok:
-                raise self.error(f"star closure of {pres.name} broke the term "
-                                 "order", name_tok)
+        except UnorientableRuleError as exc:
+            raise self.error(f"star closure of {pres.name}: {exc}", name_tok)
+        if not check_termination(pres).ok:
+            raise self.error(f"star closure of {pres.name} broke the term order",
+                             name_tok)
         return pres
 
     def _ident_list(self, order):
@@ -483,64 +486,10 @@ def _build_generators(order, selfadj, heavy, weights, filename, name_tok):
     return tuple(gens)
 
 
-def parse(text: str, filename: str = "<string>", star_closed=False) -> ParsedFile:
-    """Parse a .qalg source; raises DslError with line/column on failure.
-    With star_closed, each algebra is star-closed as soon as it is parsed."""
-    return _Parser(text, filename, star_closed).parse_file()
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def serialize(pres: Presentation) -> str:
-    """Canonical text form of a single-leg presentation."""
-    if pres.nlegs != 1:
-        raise ValueError("only single-leg presentations are serialized to files")
-    lines = [f"algebra {pres.name} {{"]
-    unstarred = [g for g in pres.generators if not g.starred]
-    if unstarred:
-        lines.append("  gen " + " ".join(g.name for g in unstarred) + ";")
-    selfadj = [g.name for i, g in enumerate(pres.generators)
-               if not g.starred and g.star_partner == i]
-    if selfadj:
-        lines.append("  selfadjoint " + " ".join(selfadj) + ";")
-    heavies = [g.name for g in unstarred if g.heavy]
-    if heavies:
-        lines.append("  heavy " + " ".join(heavies) + ";")
-    for g in unstarred:
-        if g.weight is not None:
-            vec = ", ".join(str(v) for v in g.weight)
-            lines.append(f"  weight {g.name} = [{vec}];")
-    for rule in pres.rules:
-        lhs = render_word(rule.lhs, pres)
-        rhs = render_poly(rule.rhs, pres)
-        lines.append(f"  rel {lhs} = {rhs};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_morphism(m: Morphism) -> str:
-    target = m.codomain.name.replace("@", " @ ")
-    lines = [f"morphism {m.name} : {m.domain.name} -> {target} {{"]
-    for i, g in enumerate(m.domain.generators):
-        if g.starred:
-            continue
-        lines.append(f"  {g.display()} -> {render_poly(m.images[i], m.codomain)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_file(parsed: ParsedFile) -> str:
-    """Canonical text: the `use` line, then the blocks declared locally."""
-    used = [builtin(name) for name in parsed.uses]
-    chunks = [f"use {', '.join(parsed.uses)};\n"] if used else []
-    chunks += [serialize(p) for p in parsed.presentations.values()
-               if not any(p.name in b.presentations for b in used)]
-    chunks += [serialize_morphism(m) for m in parsed.morphisms.values()
-               if not any(m.name in b.morphisms for b in used)]
-    return "\n".join(chunks)
+def parse(text: str, filename: str = "<string>") -> ParsedFile:
+    """Parse a .qalg source, each algebra star-closed and termination-checked
+    as soon as it is parsed; raises DslError with line/column on failure."""
+    return _Parser(text, filename).parse_file()
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +503,12 @@ def _load_source(name: str) -> str:
 
 @lru_cache(maxsize=None)
 def builtin(name: str) -> ParsedFile:
-    """Load a builtin file as its ParsedFile: algebras star-closed and
-    termination-checked, morphisms normalized and validated (which the suites
-    report), `use`d ones shared as is."""
+    """The shipped file's `parse`, once per process, with each of its own
+    morphisms checked to have normal-form images and validated (which the
+    suites report); `use`d objects are shared as is."""
     if name not in BUILTIN_NAMES:
         raise KeyError(f"unknown builtin {name!r}; expected one of {BUILTIN_NAMES}")
-    parsed = parse(_load_source(name), filename=f"{name}.qalg", star_closed=True)
+    parsed = parse(_load_source(name), filename=f"{name}.qalg")
     for mname, m in parsed.morphisms.items():
         if m.validated:  # imported
             continue

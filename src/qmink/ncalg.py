@@ -168,8 +168,9 @@ class Presentation:
 
     Construction is deliberately lenient (bad rule sets are representable)
     so that check_termination / check_local_confluence have something to
-    report on; the .qalg parser, and so the builtin loader, runs
-    check_termination, and local confluence is checked only by `qmink check
+    report on.  Every algebra the .qalg parser returns (a builtin or a file
+    read by path) is star-closed and passed check_termination before and
+    after the closure; local confluence is checked only by `qmink check
     presentation` and the tests.
     """
 
@@ -419,7 +420,8 @@ def orient(poly: NCPolynomial, pres: Presentation) -> RewriteRule:
     coeff = terms[lead]
     if not coeff.is_unit():
         raise UnorientableRuleError(
-            f"leading coefficient {coeff} of {poly!r} is not invertible")
+            f"cannot orient {render_poly(poly, pres)} = 0: its leading "
+            f"coefficient {coeff} is not invertible")
     inv = coeff.inverse()
     rest = NCPolynomial({w: c for w, c in terms.items() if w != lead})
     return RewriteRule(lead, (-rest).scale(inv))

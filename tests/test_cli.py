@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -633,3 +634,92 @@ def test_extreme_numeric_flags_never_raise(
     doc = json.loads(out, parse_constant=reject_constant)
     jsonschema.validate(doc, SCHEMA)
     assert doc["status"] == ("pass" if code == 0 else "fail")
+
+
+# -- one meaning per .qalg text ----------------------------------------------------
+
+DATA = Path(qmink.__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, algebra, expression", [
+    ("lorentz", "lorentz", "a' d'"),
+    ("minkowski", "minkowski", "w x w'"),
+    ("coaction", "lorentz", "c' b' d' a'"),
+    ("classical", "classical_lorentz", "d' a'")])
+def test_a_shipped_file_means_the_same_by_path_and_by_name(
+        capsys, name, algebra, expression):
+    path = str(DATA / f"{name}.qalg")
+    for argv in (["normalize", "{}", expression, "--algebra", algebra],
+                 ["check", "presentation", "--file", "{}", "--samples", "20",
+                  "--format", "json"]):
+        by_path = run(capsys, *(a.format(path) for a in argv))
+        assert by_path == run(capsys, *(a.format(name) for a in argv))
+        assert by_path[0] == 0
+    if name == "lorentz":
+        assert run(capsys, "normalize", path, expression)[1] == "1 + b' c'\n"
+        doc = json.loads(run(capsys, "check", "presentation", "--file", path,
+                             "--samples", "20", "--format", "json")[1])
+        checks = doc["reports"][0]["checks"]
+        assert [c["detail"] for c in checks[:2]] == [
+            "30 rules", "0 unresolved critical pairs"]
+
+
+def test_a_star_inconsistent_file_exits_2_with_one_located_line(tmp_path, capsys):
+    path = tmp_path / "mutated.qalg"
+    path.write_text((DATA / "minkowski.qalg").read_text("utf-8").replace(
+        "rel w x = q^-4 x w;", "rel w x = q^4 x w;"))
+    for argv in (["check", "presentation", "--file", str(path)],
+                 ["normalize", str(path), "x"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"qmink: {path}:6:9: star closure of minkowski: cannot "
+                       "orient (1 - q^8) x w' = 0: its leading coefficient "
+                       "1 - q^8 is not invertible\n")
+
+
+# -- a reader that leaves early ------------------------------------------------------
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["normalize", "lorentz", "d a"], 0),
+    (["check", "hopf"], 0),
+    (["check", "pq", "--p", "2", "--q", "3", "--samples", "5",
+      "--tol", "1e-300"], 1)])
+def test_a_closed_stdout_keeps_the_verdict_and_says_nothing(
+        capsys, monkeypatch, argv, verdict):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(argv)
+    assert code == verdict
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["check", "hopf"], ["normalize", "lorentz", "d a"]])
+def test_a_reader_that_closed_the_pipe_first_gets_the_verdict(argv):
+    src = str(Path(qmink.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen([sys.executable, "-m", "qmink.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()  # before qmink writes a byte
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+
+
+def test_a_square_that_does_not_type_check_is_an_internal_error(
+        capsys, monkeypatch):
+    from qmink import coact
+    from qmink.dsl import builtin
+    square = coact.check_cocommutativity_square
+    monkeypatch.setattr(coact, "check_cocommutativity_square", lambda m, comult:
+                        square(m, builtin("coaction").morphism("DeltaH")))
+    code, out, err = run(capsys, "check", "hopf")
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == ("qmink: internal error: RuntimeError: "
+                                    "composition square does not type-check")

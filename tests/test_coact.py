@@ -196,7 +196,7 @@ def test_squares_run_on_every_unstarred_generator_in_declaration_order():
 
 
 def test_square_type_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="does not type-check"):
         coact.check_cocommutativity_square(delta(), delta_h())
 
 
@@ -353,7 +353,7 @@ def test_classical_limit_mismatch_is_reported():
     quantum = delta_h()
     classical = builtin("classical")
     wrong_ref = classical.morphism("Delta")  # wrong morphism entirely
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError, match="do not share a generator list"):
         coact.classical_limit_compare(quantum, wrong_ref)
 
 
@@ -504,15 +504,14 @@ def test_the_suite_reports_what_a_fresh_validation_finds(run, bundle, name, kind
 def test_flipping_one_constant_breaks_star_consistency():
     """Flipping a single deformation constant makes the relation set
     star-inconsistent: its closure would need the torsion relation
-    (1 - q^8) x w' = 0, whose leading coefficient is not invertible."""
-    import pytest as _pytest
-    from qmink.dsl import _load_source, parse
-    from qmink.ncalg import UnorientableRuleError, star_closure
+    (1 - q^8) x w' = 0, whose leading coefficient is not invertible, so
+    parsing it fails at the algebra's name."""
+    from qmink.dsl import DslError, _load_source, parse
     src = _load_source("minkowski").replace("rel w x = q^-4 x w;",
                                             "rel w x = q^4 x w;")
-    parsed = parse(src, "mutated.qalg")
-    with _pytest.raises(UnorientableRuleError):
-        star_closure(parsed.presentations["minkowski"])
+    with pytest.raises(DslError, match=r"^mutated\.qalg:6:9: star closure of "
+                       r"minkowski: cannot orient \(1 - q\^8\) x w' = 0"):
+        parse(src, "mutated.qalg")
 
 
 def test_wrong_commutation_constants_are_caught_by_the_coaction_check():
@@ -520,18 +519,13 @@ def test_wrong_commutation_constants_are_caught_by_the_coaction_check():
     closure still goes through) must break the coaction's relation check:
     the verifier is sensitive to the scalars, not just the words."""
     from qmink.dsl import _load_source, parse
-    from qmink.ncalg import star_closure
     coaction = _load_source("coaction")
     src = (_load_source("minkowski")
            .replace("rel w x = q^-4 x w;", "rel w x = q^4 x w;")
            .replace("rel w' x = q^4 x w';", "rel w' x = q^-4 x w';")
            + _load_source("lorentz")
            + coaction[coaction.index("morphism DeltaH"):])
-    parsed = parse(src, "mutated.qalg")
-    mink = star_closure(parsed.presentations["minkowski"])
-    lor = star_closure(parsed.presentations["lorentz"])
-    images = parsed.morphisms["DeltaH"].images
-    wrong = Morphism("DeltaH", mink, tensor(mink, lor), images)
+    wrong = parse(src, "mutated.qalg").morphisms["DeltaH"]
     report = coact.check_relations_preserved(wrong)
     assert not report.ok
     # the flipped pair fails directly; the mixing of generators inside the

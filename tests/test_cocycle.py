@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qmink import cocycle
 from qmink.cocycle import (CocycleParams, check_cocycle_identity,
                            check_omega_identity, check_sumup, disk_points,
-                           dual_pairing, omega, psi, psi_star, psi_tilde)
+                           omega, psi, psi_star, psi_tilde)
 
 S = CocycleParams(0.7)
 
@@ -197,15 +197,6 @@ def test_identity_residuals_across_the_parameter_range():
         assert check_cocycle_identity([params], 2000, 9)[0].max_residual < 1e-12
         assert check_sumup([params], 2000, 9)[0].max_residual < 1e-12
         assert check_omega_identity([params], 2000, 9)[0].max_residual < 1e-12
-
-
-@settings(max_examples=50, deadline=None)
-@given(complex_points, complex_points, complex_points)
-def test_dual_pairing_is_a_symmetric_bicharacter(z, w1, w2):
-    assert abs(abs(dual_pairing(z, w1)) - 1.0) < 1e-15
-    assert abs(dual_pairing(z, w1 + w2)
-               - dual_pairing(z, w1) * dual_pairing(z, w2)) < 1e-13
-    assert dual_pairing(z, w1) == dual_pairing(w1, z)
 
 
 # -- all s values on one set of draws, against the per-s oracle ---------------

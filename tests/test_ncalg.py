@@ -3,13 +3,14 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmink.coact import leg_extend
-from qmink.dsl import builtin, parse_expression
+from qmink.dsl import _load_source, builtin, parse_expression
 from qmink.ncalg import (Generator, NCPolynomial, Presentation, RewriteRule,
                          StepLimitExceeded, UnorientableRuleError,
                          check_local_confluence, check_termination, orient,
@@ -433,13 +434,23 @@ def test_declaring_determinant_generators_nonadjacent_breaks_confluence():
 # -- star closure ---------------------------------------------------------------
 
 
+def declared(name):
+    """The rules a builtin file declares, over its algebra's generators and
+    not star-closed (`parse` closes every algebra it reads)."""
+    bare = Presentation(name, builtin(name).presentation(name).generators)
+    rules = []
+    for lhs, rhs in re.findall(r"^\s*rel ([^=]+)=([^;]+);", _load_source(name),
+                               re.M):
+        (word,) = parse_expression(lhs, bare).words()
+        rules.append(RewriteRule(word, parse_expression(rhs, bare)))
+    return bare.with_rules(rules)
+
+
 def test_star_closure_of_lorentz_derives_thirteen_rules():
-    from qmink.dsl import parse, _load_source
-    parsed = parse(_load_source("lorentz"), "lorentz.qalg")
-    pres = parsed.presentations["lorentz"]
+    pres = declared("lorentz")
     assert len(pres.rules) == 17
     closed = star_closure(pres)
-    assert len(closed.rules) == 30
+    assert len(closed.rules) == 30 and closed == lorentz()
     # starred determinant rule, from starring a d = 1 + b c
     assert nf_rule(closed, "a' d'") == parse_expression("1 + b' c'", closed)
     # star of the mixed rule b' a = q^4 a b'
@@ -451,9 +462,7 @@ def nf_rule(pres, text):
 
 
 def test_star_closure_of_minkowski_is_trivial():
-    from qmink.dsl import parse, _load_source
-    parsed = parse(_load_source("minkowski"), "minkowski.qalg")
-    pres = parsed.presentations["minkowski"]
+    pres = declared("minkowski")
     closed = star_closure(pres)
     assert len(closed.rules) == len(pres.rules) == 6
 
@@ -473,8 +482,7 @@ def test_every_builtin_right_hand_side_is_its_own_normal_form():
 
 
 def test_star_closure_builds_no_presentation_per_rule(monkeypatch):
-    from qmink.dsl import parse, _load_source
-    pres = parse(_load_source("lorentz"), "lorentz.qalg").presentations["lorentz"]
+    pres = declared("lorentz")
     built = []
     with_rules = Presentation.with_rules
 
