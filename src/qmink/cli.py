@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -187,6 +188,9 @@ def _command(sub, name, flags, help=None, **defaults):
     each spelled in full, so a flag it does not read is a usage error,
     reported with this subcommand's usage line."""
     parser = sub.add_parser(name, help=help, allow_abbrev=False)
+    # argparse's own pattern for a negative value misses -1e-3 and -1E2
+    parser._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     for flag in flags.split():
         parser.add_argument(flag, **FLAGS[flag])
     parser.set_defaults(parser=parser, **defaults)

@@ -23,7 +23,9 @@ from .scalars import Scalar
 
 
 class Morphism:
-    """Unital *-homomorphism candidate, defined on generators."""
+    """Unital *-homomorphism candidate, defined on generators.  Whether it
+    is one is a verdict, not a property: `validate()` computes it, and
+    the hopf and coaction suites report it."""
 
     def __init__(self, name: str, domain: Presentation, codomain: Presentation,
                  images: dict):
@@ -35,11 +37,12 @@ class Morphism:
         self.domain = domain
         self.codomain = codomain
         self.images = dict(images)
-        self.reports = ()  # validate()'s star-equivariance and relations reports
 
     @classmethod
     def from_unstarred(cls, name, domain, codomain, unstarred_images):
-        """Build the full image table from images of the unstarred generators."""
+        """Build the full image table, in normal form, from images of the
+        unstarred generators; an image that normalizes further is a fault of
+        `normalize` (no text can cause it), raised as a RuntimeError."""
         images = {}
         for i, g in enumerate(domain.generators):
             if g.starred:
@@ -51,6 +54,8 @@ class Morphism:
         for i, g in enumerate(domain.generators):
             if g.starred:
                 images[i] = codomain.normalize(codomain.star(images[g.star_partner]))
+        if any(codomain.normalize(img) != img for img in images.values()):
+            raise RuntimeError(f"morphism {name}: an image is not in normal form")
         return cls(name, domain, codomain, images)
 
     @classmethod
@@ -58,16 +63,10 @@ class Morphism:
         images = {i: NCPolynomial.word((i,)) for i in range(len(pres.generators))}
         return cls("id", pres, pres, images)
 
-    @property
-    def validated(self) -> bool:  # validate() ran and every residual is zero
-        return bool(self.reports) and all(r.ok for r in self.reports)
-
-    def validate(self) -> "MorphismReport":
-        """Check star-equivariance, then relation preservation; each call
-        recomputes both and keeps their two reports in `reports`."""
-        self.reports = check_star_equivariance(self), check_relations_preserved(self)
-        return MorphismReport(f"validate[{self.name}]",
-                              self.reports[0].entries + self.reports[1].entries)
+    def validate(self) -> tuple:
+        """The star-equivariance and the relations reports, computed afresh
+        on each call; nothing is stored on the morphism."""
+        return check_star_equivariance(self), check_relations_preserved(self)
 
     def apply(self, poly: NCPolynomial) -> NCPolynomial:
         """Multiplicative, linear extension of the generator images, normalized.

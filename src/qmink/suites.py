@@ -110,11 +110,11 @@ def run_presentation_suite(samples: int = 1000, seed: int = 0,
 
 
 def _morphism_suite(suite, file, name, kind, square) -> SuiteReport:
-    """The builtin morphism `name`'s relations and star-equivariance, as the
-    loader validated them, its square against Delta on its domain's
-    unstarred generators, and q = 1."""
+    """The builtin morphism `name`'s relations and star-equivariance (one
+    `validate()`), its square against Delta on its domain's unstarred
+    generators, and q = 1."""
     m = builtin(file).morphism(name)
-    stars, relations = m.reports
+    stars, relations = m.validate()
     checks = [
         _symbolic_check(f"{kind} preserves relations", relations),
         _symbolic_check(square, coact.check_cocommutativity_square(

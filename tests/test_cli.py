@@ -233,6 +233,18 @@ def test_each_check_takes_only_the_flags_it_reads():
     assert sum(map(len, taken.values())) == 22
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-1E2", "-2.5e+1", "-.5", "-3"])
+def test_a_negative_value_may_follow_its_flag_as_a_word(capsys, value):
+    """argparse alone reads a word such as -1e-3 as an unknown flag."""
+    outputs = [run(capsys, "check", "cocycle", "--samples", "10", *flag_value,
+                   "--format", "json")
+               for flag_value in (("--s", value), (f"--s={value}",))]
+    assert outputs[0] == outputs[1]
+    code, out, err = outputs[0]
+    assert code == 0 and err == ""
+    assert json.loads(out)["reports"][0]["inputs"]["s_values"] == [float(value)]
+
+
 def test_pq_requires_both_parameters(capsys):
     code, _, err = run(capsys, "check", "pq", "--p", "2")
     assert code == 2
