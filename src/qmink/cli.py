@@ -16,12 +16,11 @@ all checks passed, 1 a check failed, 2 usage or parse error, 3 internal
 error (a traceback, then one `qmink: internal error:` line); a reader that
 closes stdout early changes neither the code nor stderr.  Only `check`
 and `report-all` import the suites, so `normalize` starts without the
-numeric modules.  `report-all` runs the exact suites in a forked child
-beside the numeric ones where it can (see `suites.run_all`); its output
-is the same either way.
+numeric modules (and `traceback` is imported for exit 3 only).  A check
+loads what its suite reads first; the text format prints that as a line.
+`report-all` runs the exact suites in a forked child beside the numeric
+ones where it can (see `suites.run_all`); its output is the same either way.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
@@ -29,8 +28,7 @@ import math
 import os
 import re
 import sys
-import traceback
-from pathlib import Path
+import time
 
 from .dsl import (BUILTIN_NAMES, DslError, builtin, parse, parse_expression,
                   render_poly)
@@ -40,21 +38,30 @@ from .scalars import EvalOverflowError
 USAGE_ERROR, INTERNAL_ERROR = 2, 3
 
 
+def _spelling(path: str) -> str:
+    """PATH as pathlib writes it, and so messages name it: no empty or '.'
+    parts, and one leading slash unless exactly two."""
+    lead = len(path) - len(path.lstrip("/"))
+    return "/" * (lead if lead < 3 else 1) + "/".join(
+        part for part in path.split("/") if part not in ("", ".")) or "."
+
+
 def _file_presentations(file_arg: str) -> dict:
     """The algebras in scope in FILE (imported ones included): a .qalg
     path, or a bare builtin name when no such file exists."""
-    path = Path(file_arg)
-    if not path.exists():
+    path = _spelling(file_arg)
+    if not os.path.exists(path):
         name = file_arg.removesuffix(".qalg")
-        if path.name == file_arg and name in BUILTIN_NAMES:
+        if os.path.basename(path) == file_arg and name in BUILTIN_NAMES:
             return builtin(name).presentations
         raise DslError(f"no such file: {file_arg}")
     try:
-        text = path.read_text("utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8, ...
         reason = getattr(exc, "strerror", None) or exc
         raise DslError(f"cannot read {path}: {reason}") from None
-    presentations = parse(text, filename=str(path)).presentations
+    presentations = parse(text, filename=path).presentations
     if not presentations:
         raise DslError(f"{path} declares no algebra")
     return presentations
@@ -113,18 +120,25 @@ def _tol(args) -> float:
 
 
 def _presentation(suites, args):
-    presentations = None
     if args.file is not None:
-        presentations = _pick_algebra(_file_presentations(args.file),
-                                      args.algebra)
-    elif args.algebra is not None:
-        presentations = {args.algebra: _builtin_presentation(args.algebra)}
-    return suites.run_presentation_suite(samples=args.samples, seed=args.seed,
-                                         presentations=presentations)
+        what, found = args.file, _file_presentations(args.file)
+    else:
+        names = suites.QUANTUM if args.algebra is None else (args.algebra,)
+        what, found = ", ".join(names), {n: _builtin_presentation(n) for n in names}
+    presentations = _pick_algebra(found, args.algebra)
+    return what, lambda: suites.run_presentation_suite(
+        samples=args.samples, seed=args.seed, presentations=presentations)
+
+
+def _loaded(*names, job):
+    """The named builtins, loaded, and the job of a suite that reads them."""
+    for name in names:
+        builtin(name)
+    return ", ".join(names), job
 
 
 def _cocycle(suites, args):
-    return suites.run_cocycle_suite(
+    return None, lambda: suites.run_cocycle_suite(
         s_values=args.s or suites.ACCEPTANCE_S_VALUES, samples=args.samples,
         seed=args.seed, tol=_tol(args), radius=args.radius)
 
@@ -135,16 +149,20 @@ def _pq(suites, args):
         raise DslError("--p and --q must be given together")
     pairs = ([(args.p, args.q)] if args.p is not None
              else suites.ACCEPTANCE_PQ_PAIRS)
-    return suites.run_pq_suite(
+    return None, lambda: suites.run_pq_suite(
         pairs=pairs, samples=args.samples, seed=args.seed, tol=tol,
         s_values=args.s or suites.ACCEPTANCE_S_VALUES)
 
 
-# check -> (runner: (suites module, args) -> report, the flags it reads)
+# check -> (runner: (suites module, args) -> (what it loaded or None, the
+# suite's job), the flags it reads).  A runner loads what its suite reads,
+# so that the suite's printed time is its own work.
 CHECKS = {
     "presentation": (_presentation, "--file --algebra --samples --seed --format"),
-    "hopf": (lambda suites, _: suites.run_hopf_suite(), "--seed --format"),
-    "coaction": (lambda suites, _: suites.run_coaction_suite(), "--seed --format"),
+    "hopf": (lambda suites, _: _loaded(
+        "lorentz", "classical", job=suites.run_hopf_suite), "--seed --format"),
+    "coaction": (lambda suites, _: _loaded(
+        "coaction", "classical", job=suites.run_coaction_suite), "--seed --format"),
     "cocycle": (_cocycle, "--s --radius --samples --seed --tol --format"),
     "pq": (_pq, "--p --q --s --samples --seed --tol --format"),
 }
@@ -153,8 +171,11 @@ CHECKS = {
 def cmd_check(args) -> int:
     from . import suites
     from .reports import ReportBundle
-    report = suites.timed(lambda: args.run(suites, args))
-    return _emit(ReportBundle([report], seed=args.seed), args.format)
+    start = time.perf_counter()
+    what, job = args.run(suites, args)
+    load = suites.load_line(what, start) if what else None
+    return _emit(ReportBundle([suites.timed(job)], seed=args.seed, load=load),
+                 args.format)
 
 
 def cmd_report_all(args) -> int:
@@ -237,6 +258,7 @@ def main(argv=None) -> int:
         print(f"qmink: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # a fault of qmink's, not a failed check
+        import traceback
         traceback.print_exc()
         print(f"qmink: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -14,9 +14,7 @@ m (x) id or id (x) m is the one tensor formula m1 (x) m2, with the identity
 of the passive factor as one of them.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ncalg import NCPolynomial, Presentation, embed, render_poly, tensor
 from .scalars import Scalar
@@ -91,17 +89,14 @@ class Morphism:
                 f"{self.codomain.name})")
 
 
-@dataclass(frozen=True)
-class ResidualEntry:
+class ResidualEntry(namedtuple("ResidualEntry", "label residual rendered")):
     """One exact check: zero residual means the identity holds on the nose.
 
     `rendered` is the residual in presentation-language syntax, so a failure
     can be replayed directly with the normalize command.
     """
 
-    label: str
-    residual: NCPolynomial
-    rendered: str
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -112,10 +107,10 @@ def _entry(label, residual, codomain) -> ResidualEntry:
     return ResidualEntry(label, residual, render_poly(residual, codomain))
 
 
-@dataclass(frozen=True)
-class MorphismReport:
-    name: str
-    entries: tuple
+class MorphismReport(namedtuple("MorphismReport", "name entries")):
+    """A named check's ResidualEntry tuple; it passes iff every entry does."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -183,8 +178,7 @@ def check_star_equivariance(m: Morphism) -> MorphismReport:
     for i, g in enumerate(m.domain.generators):
         lhs = m.apply(m.domain.star(NCPolynomial.word((i,))))
         rhs = m.codomain.normalize(m.codomain.star(m.apply(NCPolynomial.word((i,)))))
-        residual = lhs - rhs
-        entries.append(_entry(g.display(), residual, m.codomain))
+        entries.append(_entry(g.display(), lhs - rhs, m.codomain))
     return MorphismReport(f"star-equivariance[{m.name}]", tuple(entries))
 
 
@@ -218,6 +212,5 @@ def classical_limit_compare(m: Morphism, reference: Morphism) -> MorphismReport:
             continue
         mapped = _strip_deformation(m.images[i], reference.codomain)
         expected = reference.codomain.normalize(reference.images[i])
-        residual = mapped - expected
-        entries.append(_entry(g.display(), residual, reference.codomain))
+        entries.append(_entry(g.display(), mapped - expected, reference.codomain))
     return MorphismReport(f"classical-limit[{m.name}]", tuple(entries))

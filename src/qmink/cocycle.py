@@ -27,15 +27,12 @@ bit-identical to one.  Each residual names the points of the first sample
 where its maximum is reached.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial, reduce
 from operator import add, mul, neg, sub
-from typing import Callable
 
 from .reports import NumericCheck, Residual, fold_max
 
@@ -44,15 +41,15 @@ from .reports import NumericCheck, Residual, fold_max
 BLOCK = 500
 
 
-@dataclass(frozen=True)
-class CocycleParams:
+class CocycleParams(namedtuple("CocycleParams", "s")):
     """Deformation parameter; finite real."""
 
-    s: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.s):
-            raise ValueError(f"deformation parameter must be finite, not {self.s!r}")
+    def __new__(cls, s: float):
+        if not math.isfinite(s):
+            raise ValueError(f"deformation parameter must be finite, not {s!r}")
+        return super().__new__(cls, s)
 
 
 def psi_phase(z1, z2):
@@ -111,8 +108,7 @@ def disk_points(rng: random.Random, n: int, radius: float):
     return pts
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(namedtuple("Identity", "name npoints labels phases")):
     """An identity between products of cocycle factors, declared once.
 
     phases(*points), on npoints points, gives for each part (labels order)
@@ -121,10 +117,7 @@ class Identity:
     columns of them on which the phase arithmetic acts elementwise.
     """
 
-    name: str
-    npoints: int
-    labels: tuple
-    phases: Callable
+    __slots__ = ()
 
 
 # Declarations look the phase functions up when they run, not at import.

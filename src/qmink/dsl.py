@@ -37,18 +37,17 @@ star-closed algebras and morphisms into scope as the very objects
 
 Weight metadata: the vector (u1, v1, u2, v2, ...) lists one (u, v) pair per
 complex deformation parameter, with lambda_z g lambda_z^* = e^{u z - v zbar} g,
-so every weight of an algebra has the same even length (a DslError at the
-`weight` line otherwise); the star partner of a weighted generator carries
-the pairwise (-v, -u) vector (self-adjoint generators must be fixed by it).
+so every weight of an algebra has the same even length and a generator has
+one `weight` line (a DslError at the `weight` line otherwise); the star
+partner of a weighted generator carries the pairwise (-v, -u) vector
+(self-adjoint generators must be fixed by it).  Builtin files are read from
+`data/` next to this module.
 """
 
-from __future__ import annotations
-
+import os
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache, reduce
-from importlib import resources
 
 from .coact import Morphism
 from .ncalg import (Generator, NCPolynomial, Presentation, RewriteRule,
@@ -88,12 +87,8 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'arrow' | 'number' | 'ident' | punct char | 'eof'
-    text: str
-    line: int
-    col: int
+# kind is 'arrow', 'number', 'ident', a punctuation character or 'eof'
+Token = namedtuple("Token", "kind text line col")
 
 
 def _tokenize(text, filename):
@@ -126,10 +121,10 @@ def _tokenize(text, filename):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParsedFile:
-    presentations: dict  # every algebra in scope, imported ones included
-    morphisms: dict
+class ParsedFile(namedtuple("ParsedFile", "presentations morphisms")):
+    """The algebras in scope (imported ones included) and morphisms, by name."""
+
+    __slots__ = ()
 
     def presentation(self, name) -> Presentation:
         return self.presentations[name]
@@ -224,18 +219,16 @@ class _Parser:
                         raise self.error(f"generator {tok.text} declared twice", tok)
                     order.append(tok.text)
                 self.expect(";")
-            elif head.text == "selfadjoint":
-                for tok in self._ident_list(order):
-                    selfadj.add(tok.text)
-                self.expect(";")
-            elif head.text == "heavy":
-                for tok in self._ident_list(order):
-                    heavy.add(tok.text)
+            elif head.text in ("selfadjoint", "heavy"):
+                names = selfadj if head.text == "selfadjoint" else heavy
+                names.update(tok.text for tok in self._ident_list(order))
                 self.expect(";")
             elif head.text == "weight":
                 tok = self.expect("ident", "generator name")
                 if tok.text not in order:
                     raise self.error(f"unknown generator {tok.text!r}", tok)
+                if tok.text in weights:
+                    raise self.error(f"weight of {tok.text} declared twice", head)
                 self.expect("=")
                 w = tuple(self._parse_int_vector())
                 if len(w) % 2 or len(w) != len(next(iter(weights.values()), w)):
@@ -423,7 +416,11 @@ class _Parser:
         poly = NCPolynomial.word(tuple(word), coeff)
         return -poly if negate else poly
 
-    def _fraction(self, tok) -> Fraction:
+    def _fraction(self, tok):
+        """The number token's value: an `int`, or a `Fraction` for p/q."""
+        if "/" not in tok.text:
+            return int(tok.text)
+        from fractions import Fraction
         try:
             return Fraction(tok.text)
         except ZeroDivisionError:
@@ -503,7 +500,9 @@ def parse(text: str, filename: str = "<string>") -> ParsedFile:
 
 
 def _load_source(name: str) -> str:
-    return (resources.files("qmink.data") / f"{name}.qalg").read_text("utf-8")
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.qalg")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 @lru_cache(maxsize=None)

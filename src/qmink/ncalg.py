@@ -33,14 +33,11 @@ against.
 All structures are immutable after construction; normalization is pure.
 """
 
-from __future__ import annotations
-
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections import namedtuple
 
-from .scalars import Scalar, ONE
+from .scalars import ONE, Scalar, join_terms
 
 Word = tuple  # tuple of generator indices
 
@@ -55,8 +52,8 @@ class UnorientableRuleError(ValueError):
     """A derived relation cannot be oriented as an order-decreasing rule."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(namedtuple("Generator", "name star_partner starred leg weight heavy",
+                           defaults=(False, 0, None, False))):
     """One generator of a presented *-algebra.
 
     star_partner is an index (self for self-adjoint generators); leg tags
@@ -67,12 +64,7 @@ class Generator:
     star partner carries the pairwise (-v, -u) vector.
     """
 
-    name: str
-    star_partner: int
-    starred: bool = False
-    leg: int = 0
-    weight: Optional[tuple] = None
-    heavy: bool = False
+    __slots__ = ()
 
     def display(self) -> str:
         return self.name + ("'" if self.starred else "")
@@ -96,7 +88,7 @@ class NCPolynomial:
         return NCPolynomial({(): scalar})
 
     @staticmethod
-    def word(word: Iterable[int], scalar: Scalar = ONE) -> "NCPolynomial":
+    def word(word, scalar: Scalar = ONE) -> "NCPolynomial":
         return NCPolynomial({tuple(word): scalar})
 
     @property
@@ -152,12 +144,10 @@ class NCPolynomial:
         return "NCPolynomial(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    """Oriented rule lhs -> rhs; scalar-exact."""
+class RewriteRule(namedtuple("RewriteRule", "lhs rhs")):
+    """Oriented rule lhs -> rhs (a Word and an NCPolynomial); scalar-exact."""
 
-    lhs: Word
-    rhs: NCPolynomial
+    __slots__ = ()
 
     def as_polynomial(self) -> NCPolynomial:
         return NCPolynomial.word(self.lhs) - self.rhs
@@ -174,7 +164,7 @@ class Presentation:
     presentation` and the tests.
     """
 
-    def __init__(self, name: str, generators: Sequence[Generator], rules=()):
+    def __init__(self, name: str, generators, rules=()):
         generators = tuple(generators)
         for i, g in enumerate(generators):
             j = g.star_partner
@@ -201,6 +191,8 @@ class Presentation:
         self._reach = max(self._lhs_lengths, default=1) - 1
         self._heavy = frozenset(i for i, g in enumerate(generators) if g.heavy)
         self._legs = self._tensor_legs() if self.nlegs > 1 else None
+        self.factors = (self,)  # `tensor` sets a product's to its factors'
+        self._products = {}  # ids of the other factors -> product (see tensor)
 
     def _tensor_legs(self):
         """Each generator's leg if the rules make this a tensor product, else None.
@@ -427,10 +419,10 @@ def orient(poly: NCPolynomial, pres: Presentation) -> RewriteRule:
     return RewriteRule(lead, (-rest).scale(inv))
 
 
-@dataclass(frozen=True)
-class TerminationReport:
-    ok: bool
-    violations: tuple  # (rule, offending rhs word)
+class TerminationReport(namedtuple("TerminationReport", "ok violations")):
+    """ok, and the (rule, offending rhs word) pairs; true iff ok."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -438,26 +430,13 @@ class TerminationReport:
 
 def check_termination(pres: Presentation) -> TerminationReport:
     """Every rule must strictly decrease the term order, word by word."""
-    bad = []
-    for rule in pres.rules:
-        lk = pres.order_key(rule.lhs)
-        for w in rule.rhs.words():
-            if not pres.order_key(w) < lk:
-                bad.append((rule, w))
-    return TerminationReport(not bad, tuple(bad))
+    bad = tuple((rule, w) for rule in pres.rules for w in rule.rhs.words()
+                if not pres.order_key(w) < pres.order_key(rule.lhs))
+    return TerminationReport(not bad, bad)
 
 
-@dataclass(frozen=True)
-class CriticalPair:
-    rule1: RewriteRule
-    rule2: RewriteRule
-    word: Word
-    nf1: NCPolynomial
-    nf2: NCPolynomial
-
-    @property
-    def residual(self) -> NCPolynomial:
-        return self.nf1 - self.nf2
+# an overlap word of two rules and the normal forms of its two reductions
+CriticalPair = namedtuple("CriticalPair", "rule1 rule2 word nf1 nf2")
 
 
 def _reduce_once_at(word, rule, pos) -> NCPolynomial:
@@ -537,12 +516,20 @@ def tensor(p1: Presentation, p2: Presentation) -> Presentation:
     swaps overlapping in z y x both reach x y z, and a swap overlapping a
     leg rule resolves by swaps, as the rule's right side lies in its leg, so
     Newman's lemma applies.  `test_triple_tensors_stay_confluent` is its oracle.
+
+    Each product is built once per first factor: it is kept there under
+    its other factors, so (A @ B) @ C and A @ (B @ C) are one object.
     """
+    factors = p1.factors + p2.factors
+    key = tuple(map(id, factors[1:]))  # the product keeps them alive
+    product = factors[0]._products.get(key)
+    if product is not None:
+        return product
     off = len(p1.generators)
     gens = list(p1.generators)
     for g in p2.generators:
-        gens.append(Generator(g.name, g.star_partner + off, g.starred,
-                              g.leg + p1.nlegs, g.weight, g.heavy))
+        gens.append(g._replace(star_partner=g.star_partner + off,
+                               leg=g.leg + p1.nlegs))
     rules = list(p1.rules)
     for rule in p2.rules:
         rules.append(RewriteRule(tuple(i + off for i in rule.lhs),
@@ -551,7 +538,10 @@ def tensor(p1: Presentation, p2: Presentation) -> Presentation:
               for j in range(off, len(gens)) for i in range(off)]
     # canonical rule order makes tensoring associative on the nose
     rules.sort(key=lambda r: r.lhs)
-    return Presentation(f"{p1.name}@{p2.name}", gens, rules)
+    product = Presentation(f"{p1.name}@{p2.name}", gens, rules)
+    product.factors = factors
+    factors[0]._products[key] = product
+    return product
 
 
 def embed(poly: NCPolynomial, index_offset: int) -> NCPolynomial:
@@ -599,8 +589,4 @@ def render_poly(poly: NCPolynomial, pres: Presentation) -> str:
     if poly.is_zero():
         return "0"
     words = sorted(poly.words(), key=pres.order_key)
-    parts = [_render_term(w, poly.coefficient(w), pres) for w in words]
-    out = parts[0]
-    for p in parts[1:]:
-        out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-    return out
+    return join_terms([_render_term(w, poly.coefficient(w), pres) for w in words])

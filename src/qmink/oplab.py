@@ -40,13 +40,11 @@ are evaluated once; both go when the block ends.  Equal nodes hold equal
 fields, so a value never depends on which of them filled the memo.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import random
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .reports import NumericCheck, Residual, fold_max
@@ -404,16 +402,11 @@ def defect_sqrt(a: ShiftMultiplierOperator, scale: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PQModel:
-    """Concrete normal pair with RS = p^2 SR and RS* = q^2 S*R."""
+class PQModel(namedtuple("PQModel", "p q a c R S")):
+    """Concrete normal pair R, S (ShiftMultiplierOperators) with
+    RS = p^2 SR and RS* = q^2 S*R, and the model's shifts a and c."""
 
-    p: float
-    q: float
-    a: float
-    c: float
-    R: ShiftMultiplierOperator
-    S: ShiftMultiplierOperator
+    __slots__ = ()
 
 
 def build_pq_pair(p: float, q: float) -> PQModel:

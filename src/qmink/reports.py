@@ -7,12 +7,9 @@ non-finite residual is written as null, and any other NaN or inf is an
 error rather than output.
 """
 
-from __future__ import annotations
-
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 SCHEMA_VERSION = "1"
 
@@ -62,24 +59,21 @@ def fold_max(best, col, start=0):
     return worst, at
 
 
-@dataclass(frozen=True)
-class NumericCheck:
+class NumericCheck(namedtuple("NumericCheck", "name parts")):
     """A named numeric check: its (label, residual) parts, in order."""
 
-    name: str
-    parts: tuple
+    __slots__ = ()
 
     @property
     def max_residual(self) -> float:
         return worst_of(r for _, r in self.parts)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    residual: Optional[float] = None
-    detail: Optional[str] = None
+class CheckResult(namedtuple("CheckResult", "name passed residual detail",
+                             defaults=(None, None))):
+    """A verdict, with an optional float residual and text detail."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = {"name": self.name, "status": "pass" if self.passed else "fail"}
@@ -91,13 +85,12 @@ class CheckResult:
         return out
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    inputs: dict
-    seed: Optional[int]
-    checks: list
-    elapsed_ms: float = 0.0
+    """A suite's checks, inputs and seed, and (text only) its time."""
+
+    def __init__(self, suite: str, inputs: dict, seed, checks: list, elapsed_ms=0.0):
+        self.suite, self.inputs, self.seed = suite, inputs, seed
+        self.checks, self.elapsed_ms = checks, elapsed_ms
 
     @property
     def passed(self) -> bool:
@@ -126,10 +119,11 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-@dataclass
 class ReportBundle:
-    reports: list
-    seed: Optional[int] = None
+    """A command's reports, its seed, and (text only) its load line."""
+
+    def __init__(self, reports: list, seed=None, load=None):
+        self.reports, self.seed, self.load = reports, seed, load
 
     @property
     def passed(self) -> bool:
@@ -147,6 +141,7 @@ class ReportBundle:
         return json.dumps(self.to_json(), indent=2, sort_keys=False, allow_nan=False)
 
     def render_text(self) -> str:
-        lines = [r.render_text() for r in self.reports]
+        lines = [self.load] if self.load else []
+        lines += [r.render_text() for r in self.reports]
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)

@@ -11,16 +11,14 @@ All arithmetic is exact.  A rational component is held as a plain `int`
 when it is integral and as a `fractions.Fraction` only when its denominator
 is not 1; every operation returns components in that canonical form, so the
 builtin coefficients (1, q^4, q^-4, ...) never pay for `Fraction`
-arithmetic.  Both types are arbitrary precision, compare and hash alike
+arithmetic, and `fractions` is imported only when a non-integral rational
+first appears (inverting a unit of Z[i], as star closure does with +-q^k,
+needs none).  Both types are arbitrary precision, compare and hash alike
 (`3 == Fraction(3)`), and render alike.  The only lossy operation is the
 explicit bridge `Scalar.eval(s)` into complex doubles.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 
 class EvalOverflowError(ArithmeticError):
@@ -31,6 +29,7 @@ def _fr(value):
     """Canonical exact rational: an `int` when integral, else a `Fraction`."""
     if isinstance(value, int):
         return int(value)
+    from fractions import Fraction
     if isinstance(value, (Fraction, str)):
         return _canon(Fraction(value))
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
@@ -43,12 +42,24 @@ def _canon(x):
     return x.numerator
 
 
-@dataclass(frozen=True, slots=True)
 class GaussianRational:
     """An element re + im*i of Q(i), held exactly (components int or Fraction)."""
 
-    re: int | Fraction
-    im: int | Fraction
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other):
+        return (isinstance(other, GaussianRational)
+                and self.re == other.re and self.im == other.im)
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     @staticmethod
     def of(re, im=0) -> "GaussianRational":
@@ -78,6 +89,9 @@ class GaussianRational:
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
+        if n == 1:  # a unit of Z[i]: its inverse is its conjugate
+            return self.conjugate()
+        from fractions import Fraction
         n = Fraction(n)
         return GaussianRational(_canon(self.re / n), _canon(-self.im / n))
 
@@ -251,26 +265,15 @@ class Scalar:
 
     def subs_q_one(self) -> GaussianRational:
         """Exact classical limit q -> 1 (collapse all exponents)."""
-        acc = GR_ZERO
-        for c in self._terms.values():
-            acc = acc + c
-        return acc
+        return sum(self._terms.values(), GR_ZERO)
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):
         if not self._terms:
             return "0"
-        parts = []
-        for k in sorted(self._terms):
-            parts.append(_render_monomial(self._terms[k], k))
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        return join_terms([_render_monomial(self._terms[k], k)
+                           for k in sorted(self._terms)])
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -281,6 +284,12 @@ def _scalar(terms: dict) -> Scalar:
     out = object.__new__(Scalar)
     object.__setattr__(out, "_terms", terms)
     return out
+
+
+def join_terms(parts) -> str:
+    """Rendered terms as a sum: a term's leading '-' becomes the operator."""
+    return parts[0] + "".join(f" - {part[1:]}" if part.startswith("-")
+                              else f" + {part}" for part in parts[1:])
 
 
 def _render_monomial(coeff: GaussianRational, k: int) -> str:

@@ -4,8 +4,6 @@ Suites are pure given their parameters and seed, and `run_all` bundles
 their reports in a fixed order, so reports are byte-stable.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import random
@@ -14,7 +12,7 @@ import time
 
 from . import cocycle as cc
 from . import coact, oplab
-from .dsl import builtin
+from .dsl import BUILTIN_NAMES, builtin
 from .ncalg import (NCPolynomial, check_local_confluence, check_termination,
                     render_poly, render_word)
 from .reports import (CheckResult, ReportBundle, Residual, SuiteReport,
@@ -24,6 +22,7 @@ ACCEPTANCE_S_VALUES = (0.3, 0.7, 1.1)
 ACCEPTANCE_PQ_PAIRS = ((1.0, 1.0), (2.0, 3.0), (0.5, math.e))
 DEFAULT_TOL = 1e-12
 ORACLE_MAX_LEN = 8  # longest random word the dual-strategy oracle draws
+QUANTUM = ("lorentz", "minkowski")  # the presentation suite's default algebras
 
 
 def timed(fn):
@@ -31,6 +30,12 @@ def timed(fn):
     report = fn()
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
+
+
+def load_line(what: str, start: float) -> str:
+    """The text line for loading what a suite reads, which its caller does
+    from `perf_counter()` = start on, so the suite times its own work."""
+    return f"loaded {what} ({(time.perf_counter() - start) * 1000.0:.0f} ms)"
 
 
 def _symbolic_check(name, report) -> CheckResult:
@@ -88,8 +93,7 @@ def run_presentation_suite(samples: int = 1000, seed: int = 0,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if presentations is None:
-        presentations = {name: builtin(name).presentation(name)
-                         for name in ("lorentz", "minkowski")}
+        presentations = {name: builtin(name).presentation(name) for name in QUANTUM}
     checks = []
     for name, pres in presentations.items():
         term = check_termination(pres)
@@ -229,34 +233,39 @@ def run_all(samples: int = 1000, cocycle_samples: int = 10000, seed: int = 0,
     process runs the numeric ones (cocycle, pq); otherwise all five run
     here one after another.  Either way the bundle is the same, and the
     error raised is that of the earliest failing suite in report order.
+    The exact lane loads every builtin before it times its first suite.
     """
-    exact = (
-        lambda: run_presentation_suite(samples=samples, seed=seed),
-        run_hopf_suite,
-        run_coaction_suite,
-    )
-    numeric = (
-        lambda: run_cocycle_suite(samples=cocycle_samples, seed=seed, tol=tol),
-        lambda: run_pq_suite(samples=samples, seed=seed, tol=tol),
-    )
+    def exact():  # the load line, then the timed reports
+        start = time.perf_counter()
+        for name in BUILTIN_NAMES:
+            builtin(name)
+        return [load_line(", ".join(BUILTIN_NAMES), start), *map(timed, (
+            lambda: run_presentation_suite(samples=samples, seed=seed),
+            run_hopf_suite, run_coaction_suite))]
+
+    def numeric():
+        return list(map(timed, (
+            lambda: run_cocycle_suite(samples=cocycle_samples, seed=seed, tol=tol),
+            lambda: run_pq_suite(samples=samples, seed=seed, tol=tol))))
+
     if hasattr(os, "fork") and threading.active_count() == 1:
-        reports = _run_beside(exact, numeric)
+        load, *reports = _run_beside(exact, numeric)
     else:
-        reports = [timed(job) for job in exact + numeric]
-    return ReportBundle(reports, seed=seed)
+        load, *reports = exact() + numeric()
+    return ReportBundle(reports, seed=seed, load=load)
 
 
-def _outcome(jobs):
-    """("ok", the jobs' timed reports), or ("error", the first exception)."""
+def _outcome(lane):
+    """("ok", the list lane() returns), or ("error", what it raised)."""
     try:
-        return "ok", [timed(job) for job in jobs]
+        return "ok", lane()
     except Exception as exc:
         return "error", exc
 
 
-def _run_beside(child_jobs, own_jobs) -> list:
-    """The reports of child_jobs, run in a forked child, then those of
-    own_jobs, run here meanwhile.  The child always leaves through
+def _run_beside(child_lane, own_lane) -> list:
+    """The list child_lane() returns, run in a forked child, then the one
+    own_lane() returns, run here meanwhile.  The child always leaves through
     `os._exit` (no atexit handlers, no second flush of inherited buffers)
     and is always reaped; if this process is interrupted, it is killed
     first."""
@@ -268,7 +277,7 @@ def _run_beside(child_jobs, own_jobs) -> list:
         status = 1
         try:
             os.close(read_fd)
-            kind, value = _outcome(child_jobs)
+            kind, value = _outcome(child_lane)
             try:
                 data = pickle.dumps((kind, value))
                 pickle.loads(data)
@@ -283,7 +292,7 @@ def _run_beside(child_jobs, own_jobs) -> list:
     os.close(write_fd)
     try:
         with os.fdopen(read_fd, "rb") as pipe:
-            own = _outcome(own_jobs)
+            own = _outcome(own_lane)
             payload = pipe.read()  # to EOF before waiting, so it cannot fill
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -295,7 +304,7 @@ def _run_beside(child_jobs, own_jobs) -> list:
     except Exception:
         raise RuntimeError(f"the forked suites' process exited without a "
                            f"result (exit status {status})") from None
-    for kind, value in (theirs, own):  # child_jobs come first in the report
+    for kind, value in (theirs, own):  # child_lane comes first in the report
         if kind == "error":
             raise value
     return theirs[1] + own[1]

@@ -73,6 +73,11 @@ def test_unknown_file_exits_2(capsys):
     assert code == 2
 
 
+def test_a_file_name_too_long_for_the_system_is_no_such_file(capsys):
+    name = "a" * 300  # ENAMETOOLONG from stat, not a missing file
+    assert run(capsys, "normalize", name, "a") == (2, "", f"qmink: no such file: {name}\n")
+
+
 def test_check_hopf_passes(capsys):
     code, out, _ = run(capsys, "check", "hopf")
     assert code == 0
@@ -587,14 +592,66 @@ def test_normalize_loads_no_numeric_module():
     assert proc.stdout.splitlines() == ["1 + b c", "[]"]
 
 
-def test_check_and_normalize_load_no_pickle():
-    """Only report-all forks and reads reports back through pickle."""
-    for argv in (["check", "hopf"], ["normalize", "lorentz", "d a"]):
-        proc = _run_python("-c", (
-            f"import sys; from qmink.cli import main; main({argv!r}); "
-            "print('pickle' in sys.modules)"))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+# stdlib modules no command needs on its normal path (each costs start-up);
+# only report-all forks and reads reports back through pickle
+UNUSED_MODULES = ("dataclasses", "inspect", "typing", "traceback", "fractions",
+                  "decimal", "pathlib", "importlib.resources", "pickle", "signal")
+COMMANDS = {"normalize": (["normalize", "lorentz", "d a"], ()),
+            "check hopf": (["check", "hopf"], ()),
+            "check coaction": (["check", "coaction"], ()),
+            "check presentation": (["check", "presentation", "--samples", "20"], ()),
+            "report-all": (["report-all", "--samples", "5",
+                            "--cocycle-samples", "5"], ("pickle", "signal"))}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_imports_only_what_it_uses(command):
+    """Without `site`, which may import some of them first."""
+    argv, allowed = COMMANDS[command]
+    proc = _run_python("-S", "-c", (
+        f"import sys; from qmink.cli import main; code = main({argv!r}); "
+        f"print(code, [m for m in {UNUSED_MODULES!r} if m in sys.modules])"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {list(allowed)!r}"
+
+
+def test_an_internal_error_in_a_fresh_interpreter_prints_its_traceback():
+    proc = _run_python("-S", "-c", (
+        "import sys, qmink.suites\n"
+        "def broken():\n"
+        "    raise RuntimeError('the square lost a leg')\n"
+        "qmink.suites.run_hopf_suite = broken\n"
+        "from qmink.cli import main\n"
+        "sys.exit(main(['check', 'hopf']))"))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert 'File "<string>", line 3, in broken' in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        "qmink: internal error: RuntimeError: the square lost a leg")
+
+
+def test_a_check_prints_its_load_apart_from_its_own_time(capsys):
+    code, out, _ = run(capsys, "check", "hopf")
+    assert code == 0
+    load, suite = out.splitlines()[:2]
+    assert re.fullmatch(r"loaded lorentz, classical \(\d+ ms\)", load)
+    assert re.fullmatch(r"suite hopf: PASS \(\d+ ms\)", suite)
+    for argv, want in ((("check", "coaction"), "coaction, classical"),
+                       (("check", "presentation", "--samples", "5"),
+                        "lorentz, minkowski"),
+                       (("check", "presentation", "--algebra", "minkowski",
+                         "--samples", "5"), "minkowski"),
+                       (("check", "presentation", "--file", "lorentz",
+                         "--samples", "5"), "lorentz"),
+                       (("report-all", "--samples", "5", "--cocycle-samples", "5"),
+                        "lorentz, minkowski, coaction, classical")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert re.fullmatch(rf"loaded {want} \(\d+ ms\)", out.splitlines()[0])
+    code, out, _ = run(capsys, "check", "cocycle", "--samples", "5")
+    assert out.startswith("suite cocycle: PASS (")
+    code, out, _ = run(capsys, "check", "hopf", "--format", "json")
+    assert json.loads(out)["reports"][0]["suite"] == "hopf"
 
 
 def test_demo_script_runs_and_passes():

@@ -195,6 +195,22 @@ def test_squares_run_on_every_unstarred_generator_in_declaration_order():
     assert [e.label for e in square.entries] == ["x", "y", "w"]
 
 
+def test_each_square_builds_its_codomain_once(monkeypatch):
+    built = []
+    init = Presentation.__init__
+
+    def counting_init(self, name, *args):
+        built.append(name)
+        init(self, name, *args)
+
+    from qmink.dsl import _load_source, parse
+    lorentz = parse(_load_source("lorentz"))  # a fresh copy, no product built
+    monkeypatch.setattr(Presentation, "__init__", counting_init)
+    delta = lorentz.morphism("Delta")
+    assert coact.check_cocommutativity_square(delta, delta).ok
+    assert built == ["lorentz@lorentz@lorentz"]
+
+
 def test_square_type_checks():
     with pytest.raises(RuntimeError, match="does not type-check"):
         coact.check_cocommutativity_square(delta(), delta_h())

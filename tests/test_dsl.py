@@ -205,6 +205,23 @@ def test_error_for_weights_of_different_lengths():
                               "weight needs the same even number")
 
 
+def test_error_for_a_repeated_weight():
+    src = ("algebra t {\n  gen a b;\n  weight a = [1, 2];\n"
+           "  weight a = [3, 4];\n  rel b a = a b;\n}\n")
+    with pytest.raises(DslError) as err:
+        parse(src, "t.qalg")
+    assert str(err.value) == "t.qalg:4:3: weight of a declared twice"
+
+
+def test_a_coefficient_is_an_int_unless_it_has_a_denominator():
+    pres = builtin("minkowski").presentation("minkowski")
+    for text, want, kind in (("1/2 x", Fraction(1, 2), Fraction),
+                             ("4/2 x", 2, int), ("3 x", 3, int)):
+        (coeff,) = parse_expression(text, pres).terms.values()
+        (c,) = coeff.terms.values()
+        assert (c.re, c.im) == (want, 0) and type(c.re) is kind
+
+
 def test_scalar_rendering_in_rules():
     mink = builtin("minkowski").presentation("minkowski")
     rule = next(r for r in mink.rules

@@ -533,7 +533,16 @@ def test_tensor_of_minkowski_and_lorentz_supports_the_coaction():
 
 def test_tensor_is_associative_on_the_nose():
     p = lorentz()
-    assert tensor(tensor(p, p), p) == tensor(p, tensor(p, p))
+    twin = Presentation(p.name, p.generators, p.rules)  # so built apart
+    assert tensor(tensor(p, p), p) == tensor(twin, tensor(twin, twin))
+
+
+def test_a_tensor_product_is_built_once():
+    p, m = lorentz(), minkowski()
+    assert tensor(tensor(m, p), p) is tensor(m, tensor(p, p))
+    assert tensor(m, p).factors == (m, p)
+    twin = Presentation(p.name, p.generators, p.rules)
+    assert tensor(twin, twin) is not tensor(p, p)
 
 
 def test_tensor_preserves_confluence():

@@ -220,3 +220,23 @@ def test_integral_components_are_ints():
     assert type((half + half).re) is int
     assert type(GaussianRational.of(2).inverse().re) is Fraction
     assert type(GaussianRational.of(-1).inverse().re) is int
+
+
+def test_the_inverse_of_a_unit_of_the_gaussian_integers_stays_integral():
+    for unit in (GR_ONE, -GR_ONE, GR_I, -GR_I):
+        inverse = unit.inverse()
+        assert inverse * unit == GR_ONE
+        assert type(inverse.re) is int and type(inverse.im) is int
+    for k in (-4, 1, 4):
+        inverse = (-Q(k)).inverse()
+        assert inverse == -Q(-k)
+        ((_, c),) = inverse.terms.items()
+        assert type(c.re) is int and type(c.im) is int
+
+
+def test_a_gaussian_rational_is_a_value():
+    half = GaussianRational.of(Fraction(1, 2), -3)
+    assert half == GaussianRational(Fraction(1, 2), -3) != GaussianRational(1, -3)
+    assert hash(half) == hash(GaussianRational.of("1/2", "-3"))
+    assert repr(half) == "GaussianRational(re=Fraction(1, 2), im=-3)"
+    assert half != (Fraction(1, 2), -3)

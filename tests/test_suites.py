@@ -2,6 +2,7 @@
 the bundle, and the errors, of the in-order loop, and leave no child behind."""
 
 import os
+import pickle
 import threading
 import time
 
@@ -130,3 +131,35 @@ def test_an_interrupt_kills_and_reaps_the_child(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         suites.run_all(**SMALL)
     assert time.monotonic() - start < 30
+
+
+def test_records_survive_a_pickle_round_trip():
+    """Reports cross the fork pipe by pickle; the other records may too."""
+    from qmink import coact, ncalg, oplab, reports
+    from qmink.cocycle import CocycleParams
+    from qmink.dsl import Token, builtin
+    from qmink.scalars import GaussianRational
+
+    lorentz = builtin("lorentz").presentation("lorentz")
+    rule = lorentz.rules[0]
+    entry = coact.ResidualEntry("a", rule.rhs, "b c")
+    records = [GaussianRational.of("1/3", 2), lorentz.generators[4], rule,
+               ncalg.check_termination(lorentz),
+               ncalg.CriticalPair(rule, rule, rule.lhs, rule.rhs, rule.rhs),
+               entry, coact.MorphismReport("relations[Delta]", (entry,)),
+               Token("ident", "a", 1, 2), CocycleParams(0.5),
+               reports.NumericCheck("sumup", (("sumup", 1e-16),)),
+               reports.CheckResult("x", False, residual=0.5, detail="worst")]
+    for record in records:
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record)
+        assert copy == record and hash(copy) == hash(record)
+        assert repr(copy) == repr(record)
+    model = oplab.build_pq_pair(2.0, 3.0)
+    copy = pickle.loads(pickle.dumps(model))  # its operators compare by atoms
+    assert type(copy) is oplab.PQModel and copy[:4] == model[:4]
+    assert (copy.R.atoms, copy.S.atoms) == (model.R.atoms, model.S.atoms)
+    bundle = suites.run_all(**SMALL)
+    copy = pickle.loads(pickle.dumps(bundle))
+    assert copy.render_json() == bundle.render_json()
+    assert copy.render_text() == bundle.render_text()
