@@ -30,31 +30,23 @@ import re
 import sys
 import time
 
-from .dsl import (BUILTIN_NAMES, DslError, builtin, parse, parse_expression,
-                  render_poly)
+from .dsl import (BUILTIN_NAMES, DslError, builtin, builtin_algebra, parse,
+                  parse_expression, render_poly)
 from .ncalg import StepLimitExceeded
 from .scalars import EvalOverflowError
 
 USAGE_ERROR, INTERNAL_ERROR = 2, 3
 
 
-def _spelling(path: str) -> str:
-    """PATH as pathlib writes it, and so messages name it: no empty or '.'
-    parts, and one leading slash unless exactly two."""
-    lead = len(path) - len(path.lstrip("/"))
-    return "/" * (lead if lead < 3 else 1) + "/".join(
-        part for part in path.split("/") if part not in ("", ".")) or "."
-
-
-def _file_presentations(file_arg: str) -> dict:
+def _file_presentations(path: str) -> dict:
     """The algebras in scope in FILE (imported ones included): a .qalg
-    path, or a bare builtin name when no such file exists."""
-    path = _spelling(file_arg)
+    path, or a bare builtin name when no such file exists.  Messages name
+    FILE as typed."""
     if not os.path.exists(path):
-        name = file_arg.removesuffix(".qalg")
-        if os.path.basename(path) == file_arg and name in BUILTIN_NAMES:
+        name = path.removesuffix(".qalg")
+        if os.path.basename(path) == path and name in BUILTIN_NAMES:
             return builtin(name).presentations
-        raise DslError(f"no such file: {file_arg}")
+        raise DslError(f"no such file: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -105,13 +97,6 @@ def _emit(bundle, fmt: str) -> int:
     return 0 if bundle.passed else 1
 
 
-def _builtin_presentation(name: str):
-    for file in BUILTIN_NAMES:
-        if name in builtin(file).presentations:
-            return builtin(file).presentation(name)
-    raise DslError(f"no builtin algebra named {name!r}")
-
-
 def _tol(args) -> float:
     """--tol, which must be finite and > 0: NaN or inf would pass any residual."""
     if not (0 < args.tol < math.inf):
@@ -124,7 +109,7 @@ def _presentation(suites, args):
         what, found = args.file, _file_presentations(args.file)
     else:
         names = suites.QUANTUM if args.algebra is None else (args.algebra,)
-        what, found = ", ".join(names), {n: _builtin_presentation(n) for n in names}
+        what, found = ", ".join(names), {n: builtin_algebra(n) for n in names}
     presentations = _pick_algebra(found, args.algebra)
     return what, lambda: suites.run_presentation_suite(
         samples=args.samples, seed=args.seed, presentations=presentations)

@@ -82,22 +82,6 @@ def _exp_or_nan(z):
         return complex(math.nan, math.nan)
 
 
-def psi(params: CocycleParams, z1: complex, z2: complex) -> complex:
-    return _exp_or_nan(-1j * params.s * psi_phase(z1, z2))
-
-
-def psi_tilde(params: CocycleParams, z1: complex, z2: complex) -> complex:
-    return _exp_or_nan(-1j * params.s * psi_tilde_phase(z1, z2))
-
-
-def psi_star(params: CocycleParams, z1: complex, z2: complex) -> complex:
-    return _exp_or_nan(-1j * params.s * psi_star_phase(z1, z2))
-
-
-def omega(params: CocycleParams, z: complex) -> complex:
-    return _exp_or_nan(-1j * params.s * omega_phase(z))
-
-
 def disk_points(rng: random.Random, n: int, radius: float):
     """n points uniformly distributed in the closed disk of the given radius."""
     pts = []

@@ -516,6 +516,16 @@ def builtin(name: str) -> ParsedFile:
     return parse(_load_source(name), filename=f"{name}.qalg")
 
 
+def builtin_algebra(name: str) -> Presentation:
+    """The builtin algebra NAME.  Its file is found by the tokens `algebra
+    NAME`, so only that file and the ones it `use`s are parsed."""
+    for file in BUILTIN_NAMES:
+        words = [tok.text for tok in _tokenize(_load_source(file), file)]
+        if ("algebra", name) in zip(words, words[1:]):
+            return builtin(file).presentation(name)
+    raise DslError(f"no builtin algebra named {name!r}")
+
+
 def parse_expression(text: str, pres: Presentation) -> NCPolynomial:
     """Parse a bare polynomial expression over an existing presentation."""
     parser = _Parser(text, "<expression>")

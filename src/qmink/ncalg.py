@@ -30,7 +30,8 @@ strategy (``rng=``) scans without the index, sorts nothing and merges
 nothing: it is the independent oracle the deterministic one is checked
 against.
 
-All structures are immutable after construction; normalization is pure.
+Normalization is pure; structures are immutable, but for the per-process
+tensor memo that `tensor` fills: `Presentation.factors` and `_products`.
 """
 
 import heapq
@@ -154,7 +155,7 @@ class RewriteRule(namedtuple("RewriteRule", "lhs rhs")):
 
 
 class Presentation:
-    """Generators + oriented rules; immutable once constructed.
+    """Generators + oriented rules; immutable but for the tensor memo.
 
     Construction is deliberately lenient (bad rule sets are representable)
     so that check_termination / check_local_confluence have something to
@@ -420,12 +421,9 @@ def orient(poly: NCPolynomial, pres: Presentation) -> RewriteRule:
 
 
 class TerminationReport(namedtuple("TerminationReport", "ok violations")):
-    """ok, and the (rule, offending rhs word) pairs; true iff ok."""
+    """ok, and the (rule, offending rhs word) pairs."""
 
     __slots__ = ()
-
-    def __bool__(self):
-        return self.ok
 
 
 def check_termination(pres: Presentation) -> TerminationReport:

@@ -319,10 +319,6 @@ class ShiftMultiplierOperator:
         return ShiftMultiplierOperator()
 
     @staticmethod
-    def identity() -> "ShiftMultiplierOperator":
-        return ShiftMultiplierOperator({(0.0, 0.0): ONE_EXPR})
-
-    @staticmethod
     def multiplier(expr: MultiplierExpr) -> "ShiftMultiplierOperator":
         return ShiftMultiplierOperator({(0.0, 0.0): expr})
 

@@ -297,6 +297,18 @@ def test_a_missing_path_with_a_directory_is_no_builtin(tmp_path, capsys,
     assert err == f"qmink: no such file: {path}\n"
 
 
+@pytest.mark.parametrize("command", [("normalize", "{}", "u"),
+                                     ("check", "presentation", "--file", "{}")])
+@pytest.mark.parametrize("path", ["./bad.qalg", ".//bad.qalg", "{tmp}/./bad.qalg"])
+def test_a_file_is_named_as_typed(tmp_path, capsys, monkeypatch, command, path):
+    (tmp_path / "bad.qalg").write_text("algebra plane {\n  gen u v;\n  rel v u = ;\n}\n")
+    monkeypatch.chdir(tmp_path)
+    path = path.format(tmp=tmp_path)
+    code, out, err = run(capsys, *(a.format(path) for a in command))
+    assert (code, out) == (2, "")
+    assert err == f"qmink: {path}:3:13: expected a term\n"
+
+
 @pytest.mark.parametrize("name", ["lorentz", "lorentz.qalg"])
 def test_check_presentation_reads_a_bare_builtin_name_as_normalize_does(
         capsys, name):
@@ -590,6 +602,16 @@ def test_normalize_loads_no_numeric_module():
         "'qmink.reports', 'json') if m in sys.modules])"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["1 + b c", "[]"]
+
+
+def test_one_builtin_algebra_parses_only_its_own_file():
+    proc = _run_python("-c", (
+        "import qmink.dsl; from qmink.cli import main; "
+        "code = main(['check', 'presentation', '--algebra', "
+        "'classical_lorentz', '--samples', '20']); "
+        "print(code, qmink.dsl.builtin.cache_info().currsize)"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 1"
 
 
 # stdlib modules no command needs on its normal path (each costs start-up);

@@ -1,4 +1,8 @@
-"""Cocycle numerics: definitional values, unimodularity, the three identities."""
+"""Cocycle numerics: definitional values, unimodularity, the three identities.
+
+A cocycle is shipped as its s-free real phase t, its value being
+exp(-i s t).  Values are checked at the phase level, or against the o_*
+oracle below, which spells each cocycle independently of qmink."""
 
 import cmath
 import json
@@ -13,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmink import cocycle
-from qmink.cocycle import (CocycleParams, check_cocycle_identity,
-                           check_omega_identity, check_sumup, disk_points,
-                           omega, psi, psi_star, psi_tilde)
+from qmink.cocycle import (COCYCLE, OMEGA, SUMUP, CocycleParams,
+                           check_cocycle_identity, check_omega_identity,
+                           check_sumup, disk_points, dual_phase, omega_phase,
+                           psi_phase, psi_star_phase, psi_tilde_phase)
 
 S = CocycleParams(0.7)
 
@@ -23,86 +28,76 @@ complex_points = st.builds(complex, st.floats(-2, 2, allow_nan=False),
                            st.floats(-2, 2, allow_nan=False))
 
 
+def value(phase, s, *points):
+    """exp(-i s t) for a shipped phase t: the value the suite forms."""
+    return cmath.exp(-1j * s * phase(*points))
+
+
 def test_psi_on_equal_arguments_is_one():
-    assert psi(S, 1.3 - 0.2j, 1.3 - 0.2j) == 1.0
+    assert psi_phase(1.3 - 0.2j, 1.3 - 0.2j) == 0.0
 
 
 def test_psi_at_one_and_i():
     # Im(1 * conj(i)) = -1, so psi = exp(+i s)
+    assert psi_phase(1, 1j) == -1.0
     for s in (0.3, 0.7, 1.1):
-        assert abs(psi(CocycleParams(s), 1, 1j) - cmath.exp(1j * s)) < 1e-15
+        assert abs(value(psi_phase, s, 1, 1j) - cmath.exp(1j * s)) < 1e-15
 
 
 def test_psi_without_deformation_is_one():
-    assert psi(CocycleParams(0.0), 0.3 + 1j, -2j) == 1.0
+    assert value(psi_phase, 0.0, 0.3 + 1j, -2j) == 1.0
 
 
-def test_psi_tilde_is_the_conjugate_here():
-    for z1, z2 in ((1, 1j), (0.5 - 1j, 2), (1j, 1j)):
-        assert psi_tilde(S, z1, z2) == psi(S, z1, z2).conjugate()
-    assert abs(psi_tilde(S, 1, 1j) - cmath.exp(-1j * 0.7)) < 1e-15
-    assert psi_tilde(CocycleParams(0.0), 1, 1j) == 1.0
+@settings(max_examples=50, deadline=None)
+@given(complex_points, complex_points)
+def test_psi_tilde_is_the_conjugate_here(z1, z2):
+    assert psi_tilde_phase(z1, z2) == -psi_phase(z1, z2)
+    assert value(psi_tilde_phase, S.s, z1, z2) == o_psi_tilde(S.s, z1, z2)
 
 
 def test_psi_star_trivial_values():
-    assert psi_star(S, 0, 0.4 + 2j) == 1.0
+    assert psi_star_phase(0, 0.4 + 2j) == 0.0
     z = 1.7 - 0.3j
-    assert psi_star(S, z, -z) == psi(S, z, 0).conjugate() == 1.0
+    assert psi_star_phase(z, -z) == psi_phase(z, 0) == 0.0
 
 
 def test_psi_star_definitional_value():
     # psi*(1, i) = conj(psi(1, -1-i)); Im(1 * conj(-1-i)) = 1 gives
     # psi(1, -1-i) = e^{-is}, hence psi*(1, i) = e^{+is}.
+    assert psi_star_phase(1, 1j) == -psi_phase(1, -1 - 1j) == -1.0
     for s in (0.3, 0.7, 1.1):
-        params = CocycleParams(s)
-        assert abs(psi_star(params, 1, 1j)
-                   - psi(params, 1, -1 - 1j).conjugate()) == 0.0
-        assert abs(psi_star(params, 1, 1j) - cmath.exp(1j * s)) < 1e-15
+        assert abs(value(psi_star_phase, s, 1, 1j) - cmath.exp(1j * s)) < 1e-15
 
 
 @settings(max_examples=50, deadline=None)
 @given(complex_points, complex_points)
 def test_psi_star_matches_its_definition(z1, z2):
-    assert psi_star(S, z1, z2) == psi(S, z1, -z1 - z2).conjugate()
+    assert value(psi_star_phase, S.s, z1, z2) == o_psi_star(S.s, z1, z2)
 
 
 def test_omega_values():
-    assert omega(S, 1.25) == 1.0  # real argument
+    assert omega_phase(1.25) == 0.0  # real argument
+    assert omega_phase(1 + 1j) == 1.0
     for s in (0.3, 0.7, 1.1):
-        assert abs(omega(CocycleParams(s), 1 + 1j) - cmath.exp(-1j * s)) < 1e-15
-    assert omega(CocycleParams(0.0), 2 - 1j) == 1.0
-
-
-def test_point_values_are_nan_where_the_phase_overflows():
-    """The suite's overflow rule: a finite phase t whose s t overflows gives
-    NaN, not a math domain error; an ordinary point is exp(-i s t) exactly."""
-    z1, z2, z = 1.3e154j, 1.3e154, complex(9.2e153, 9.2e153)
-    big, big3 = CocycleParams(1.1), CocycleParams(3.0)
-    values = (psi(big, z1, z2), psi_tilde(big, z1, z2), psi_star(big, z1, z2),
-              omega(big3, z))
-    assert all(math.isnan(v.real) and math.isnan(v.imag) for v in values)
-    u, v = 0.3 - 1.2j, -0.7 + 0.4j
-    for f, phase, args in ((psi, cocycle.psi_phase, (u, v)),
-                           (psi_tilde, cocycle.psi_tilde_phase, (u, v)),
-                           (psi_star, cocycle.psi_star_phase, (u, v)),
-                           (omega, cocycle.omega_phase, (u,))):
-        want = cmath.exp(-1j * S.s * phase(*args))
-        assert repr(f(S, *args)) == repr(want)
+        assert value(omega_phase, s, 1 + 1j) == o_omega(s, 1 + 1j)
+        assert abs(value(omega_phase, s, 1 + 1j) - cmath.exp(-1j * s)) < 1e-15
+    assert value(omega_phase, 0.0, 2 - 1j) == 1.0
 
 
 @settings(max_examples=50, deadline=None)
 @given(complex_points, complex_points)
 def test_all_values_are_unimodular(z1, z2):
-    for v in (psi(S, z1, z2), psi_tilde(S, z1, z2), psi_star(S, z1, z2),
-              omega(S, z1)):
-        assert abs(abs(v) - 1.0) < 1e-15
+    for t in (psi_phase(z1, z2), psi_tilde_phase(z1, z2),
+              psi_star_phase(z1, z2), omega_phase(z1), dual_phase(z1, z2)):
+        assert isinstance(t, float) and math.isfinite(t)
+        assert abs(abs(cmath.exp(-1j * S.s * t)) - 1.0) < 1e-15
 
 
 @settings(max_examples=50, deadline=None)
 @given(complex_points, complex_points, complex_points)
 def test_psi_is_a_bicharacter_in_the_first_slot(z1, z1p, z2):
-    lhs = psi(S, z1 + z1p, z2)
-    rhs = psi(S, z1, z2) * psi(S, z1p, z2)
+    lhs = psi_phase(z1 + z1p, z2)
+    rhs = psi_phase(z1, z2) + psi_phase(z1p, z2)
     assert abs(lhs - rhs) < 1e-13
 
 
@@ -121,22 +116,17 @@ def test_cocycle_identity_at_scale():
 
 
 def test_cocycle_identity_single_triple():
-    a, b, c = 1, 1j, 1 - 1j
-    lhs = psi(S, a, b) * psi(S, a + b, c)
-    rhs = psi(S, b, c) * psi(S, a, b + c)
-    assert abs(lhs - rhs) < 1e-15
+    for lhs, rhs in COCYCLE.phases(1, 1j, 1 - 1j):  # psi, then psi~
+        assert sum(lhs) == sum(rhs) != 0
 
 
 def test_sumup_with_zero_translation_is_exact():
-    # u = v = 0: every factor on the right degenerates to psi*(x, y)
-    params = CocycleParams(0.9)
+    # u = v = 0: every factor on the right but psi*(x, y) has phase 0
     rng = random.Random(5)
     for x, y in zip(disk_points(rng, 50, 2.0), disk_points(rng, 50, 2.0)):
-        lhs = psi_star(params, x, y)
-        rhs = (psi_star(params, x, y) * psi(params, x, 0)
-               * psi_tilde(params, y, 0) * psi(params, -x - y, 0)
-               * psi(params, 0, -x - y).conjugate() * psi(params, 0, 0))
-        assert lhs == rhs
+        ((lhs, rhs),) = SUMUP.phases(x, y, 0, 0)
+        assert lhs == (psi_star_phase(x, y),) == rhs[:1]
+        assert all(t == 0.0 for t in rhs[1:])
 
 
 def test_sumup_without_deformation_is_exact():
@@ -150,26 +140,19 @@ def test_sumup_at_scale():
 def test_sumup_requires_the_constant_factor():
     """Dropping the trailing psi(u, v) breaks the identity by |psi(u,v) - 1|:
     the factor is not an artifact of the implementation."""
-    params = CocycleParams(0.7)
-    x = y = 0.0
-    u, v = 1.0, 1j
-    lhs = psi_star(params, x + u, y + v)
-    rhs_without = (psi_star(params, x, y) * psi(params, x, u)
-                   * psi_tilde(params, y, v) * psi(params, -x - y, -v)
-                   * psi(params, u, -x - y).conjugate())
-    assert abs(lhs - rhs_without) == pytest.approx(abs(psi(params, u, v) - 1),
-                                                   abs=1e-15)
-    assert abs(lhs - rhs_without) > 0.1
+    ((lhs, rhs),) = SUMUP.phases(0.0, 0.0, 1.0, 1j)  # x = y = 0, u = 1, v = i
+    remainder = sum(lhs) - sum(rhs[:-1])
+    assert remainder == rhs[-1] == psi_phase(1.0, 1j) != 0.0
+    assert abs(cmath.exp(-0.7j * remainder) - 1) > 0.1
 
 
 def test_omega_identity_trivial_cases():
-    params = CocycleParams(1.3)
     z = 0.8 - 0.1j
-    assert omega(params, z + 0) == omega(params, z) * omega(params, 0) \
-        * cmath.exp(-1j * params.s * (z * 0).imag)
-    # both arguments real: all factors are exactly 1
-    assert omega(params, 1.5 + 2.5) == 1.0
-    assert omega(params, 1.5) * omega(params, 2.5) == 1.0
+    ((lhs, rhs),) = OMEGA.phases(z, 0)
+    assert lhs == (omega_phase(z),) == rhs[:1] and rhs[1:] == (0.0, 0.0)
+    # both arguments real: all phases are exactly 0
+    ((lhs, rhs),) = OMEGA.phases(1.5, 2.5)
+    assert all(t == 0.0 for t in (*lhs, *rhs))
 
 
 def test_omega_identity_at_scale():

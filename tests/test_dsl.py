@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmink.dsl import (BUILTIN_NAMES, DslError, ParsedFile, _load_source,
-                       builtin, parse, parse_expression, render_poly)
+                       builtin, builtin_algebra, parse, parse_expression,
+                       render_poly)
 from qmink.ncalg import NCPolynomial, check_local_confluence
 from qmink.scalars import Scalar
 
@@ -31,6 +32,17 @@ def test_builtin_minkowski_has_four_generators():
 def test_unknown_builtin():
     with pytest.raises(KeyError):
         builtin("poincare")
+
+
+def test_builtin_algebra_is_the_declaring_files_object():
+    names = set()
+    for file in BUILTIN_NAMES:
+        for name, pres in builtin(file).presentations.items():
+            assert builtin_algebra(name) is pres
+            names.add(name)
+    assert len(names) == 4
+    with pytest.raises(DslError, match="no builtin algebra named 'poincare'"):
+        builtin_algebra("poincare")
 
 
 def test_builtin_rule_orientations():

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmink.oplab import (ZERO, Add, Const, Div, ExpLin, Mul, PositivityError,
-                         ShiftMultiplierOperator, Sqrt, adjoint, build_Q,
+from qmink.oplab import (ONE_EXPR, ZERO, Add, Const, Div, ExpLin, Mul,
+                         PositivityError, ShiftMultiplierOperator, Sqrt,
+                         adjoint, build_Q,
                          build_pq_pair, check_QQstar, check_def_mu2,
                          check_symbolic_consistency, check_twrs, compose,
                          defect_sqrt, op_equal, op_norm_sample, shared_samples,
                          z_transform)
 
 PAIRS = ((1.0, 1.0), (2.0, 3.0), (0.5, math.e))
+IDENTITY = ShiftMultiplierOperator.multiplier(ONE_EXPR)
 
 
 def gaussian_bump(cx: float = 0.0, cy: float = 0.0, width: float = 1.0):
@@ -94,8 +96,7 @@ def test_compose_of_r_and_s_is_a_single_atom():
 
 def test_compose_with_identity():
     m = build_pq_pair(2.0, 3.0)
-    assert op_equal(compose(m.R, ShiftMultiplierOperator.identity()), m.R,
-                    samples=64, seed=0) == 0.0
+    assert op_equal(compose(m.R, IDENTITY), m.R, samples=64, seed=0) == 0.0
 
 
 def test_compose_of_multipliers_multiplies():
@@ -575,9 +576,8 @@ def test_positivity_error_follows_the_point_order_across_nodes():
 
 
 @pytest.mark.parametrize("fn", [
-    lambda: op_equal(ShiftMultiplierOperator.identity(),
-                     ShiftMultiplierOperator.identity(), samples=0),
-    lambda: op_norm_sample(ShiftMultiplierOperator.identity(), samples=-5),
+    lambda: op_equal(IDENTITY, IDENTITY, samples=0),
+    lambda: op_norm_sample(IDENTITY, samples=-5),
 ])
 def test_comparisons_need_at_least_one_sample(fn):
     with pytest.raises(ValueError, match="samples must be >= 1"):
