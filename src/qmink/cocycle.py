@@ -7,13 +7,13 @@ The deforming cocycle is the unimodular bicharacter-type exponential
 together with its companions: the mirror cocycle psi~ used on the second
 shift leg, the auxiliary psi* entering the untwisting unitary, and the
 quadratic phase omega that conjugates the Minkowski coordinates.  Each is
-written once as an s-free real phase t, its value being exp(-i s t), so a
-conjugated factor is a negated phase.  Each identity is declared once, as
-data (`Identity`): the phases of each side's factors, as calls of the phase
-functions, which a declaration looks up when it runs, so the checked code
-is the shipped code.  Every identity is exact analytically (its phases sum
-to the same polynomial on both sides); residuals are pure floating-point
-noise and the default tolerance is 1e-12.
+written once, in `scalars`, as an s-free real phase t, its value being
+exp(-i s t), so a conjugated factor is a negated phase.  Each identity is
+declared once, as data (`Identity`): the phases of each side's factors, as
+calls of the phase functions, which a declaration looks up here when it
+runs, so the checked code is the shipped code.  Every identity is exact
+analytically (its phases sum to the same polynomial on both sides);
+residuals are pure floating-point noise and the default tolerance is 1e-12.
 
 Sampling is seeded (stdlib Mersenne Twister, stable across platforms) and
 the seed is part of every report; the cocycle suite draws one stream of disk
@@ -35,6 +35,8 @@ from functools import partial, reduce
 from operator import add, mul, neg, sub
 
 from .reports import NumericCheck, Residual, fold_max
+from .scalars import (dual_phase, omega_phase, psi_phase, psi_star_phase,
+                      psi_tilde_phase)
 
 # Samples per block of phase columns: columns of all 10^4 samples raised a
 # report-all process's peak RSS by about 5 MB, blocks of 500 by nothing.
@@ -50,28 +52,6 @@ class CocycleParams(namedtuple("CocycleParams", "s")):
         if not math.isfinite(s):
             raise ValueError(f"deformation parameter must be finite, not {s!r}")
         return super().__new__(cls, s)
-
-
-def psi_phase(z1, z2):
-    return (z1 * z2.conjugate()).imag
-
-
-def psi_tilde_phase(z1, z2):
-    """psi~(z1, z2) = conj(psi(-z1, -z2)); for this psi it is conj(psi(z1, z2))."""
-    return -psi_phase(-z1, -z2)
-
-
-def psi_star_phase(z1, z2):
-    """psi*(z1, z2) = conj(psi(z1, -z1 - z2)); for this psi it is psi itself."""
-    return -psi_phase(z1, -z1 - z2)
-
-
-def omega_phase(z):
-    return 0.5 * (z * z).imag
-
-
-def dual_phase(z1, z2):
-    return (z1 * z2).imag
 
 
 def _exp_or_nan(z):

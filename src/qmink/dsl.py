@@ -1,4 +1,4 @@
-"""The .qalg presentation language: parser and builtin transcriptions.
+"""The .qalg presentation language: parser and builtin files.
 
 A source file is a sequence of blocks:
 
@@ -8,13 +8,15 @@ A source file is a sequence of blocks:
       gen a d b c;                  # declaration order = term order
       selfadjoint x y;              # optional
       heavy a d;                    # letters counted by the heavy degree
-      weight a = [-1, 0, 1, 0];     # optional scaling metadata, see below
+      weight a = [-1, 0, 1, 0];     # the grading a twist reads, see below
       rel b a = a b;                # oriented rewrite rule lhs = rhs
     }
+    algebra NAME = twist PARTNER by psi_tilde, psi;
 
     morphism NAME : DOM -> COD [@ COD2 ...] {
       a -> a@a + b@c;               # images of the unstarred generators
     }
+    morphism NAME : DOM -> COD [@ COD2 ...] = PARTNER of BUILTIN;
 
 Stars are spelled with a trailing apostrophe (a'); declared generators are
 automatically paired with starred partners unless listed selfadjoint, and
@@ -35,13 +37,17 @@ leg.  Comments run from '#' to end of line.
 star-closed algebras and morphisms into scope as the very objects
 `builtin()` returns; redeclaring an imported name is an error.
 
-Weight metadata: the vector (u1, v1, u2, v2, ...) lists one (u, v) pair per
-complex deformation parameter, with lambda_z g lambda_z^* = e^{u z - v zbar} g,
-so every weight of an algebra has the same even length and a generator has
-one `weight` line (a DslError at the `weight` line otherwise); the star
-partner of a weighted generator carries the pairwise (-v, -u) vector
-(self-adjoint generators must be fixed by it).  Builtin files are read from
-`data/` next to this module.
+A weight (u1, v1, u2, v2, ...) has one (u, v) pair per leg of the grading
+(see `ncalg.Generator`): every weight of an algebra has the same even
+length and a generator has one `weight` line, and a self-adjoint generator's
+weight must be fixed by the star.  `twist` derives an algebra from a
+weighted PARTNER, an algebra in scope or else a builtin one, which does not
+come into scope: its generators, and its rules with the q-powers of
+`ncalg.twist`, one phase (`psi` or `psi_tilde`) per leg.  `= PARTNER of
+BUILTIN` copies the images of that builtin file's morphism as typed, before
+normalization; they carry over by generator index, so the domain and
+codomain must list the partner's generators.  `twist`, `by` and `of` are
+reserved words.  Builtin files are read from `data/` next to this module.
 """
 
 import os
@@ -49,16 +55,19 @@ import re
 from collections import namedtuple
 from functools import lru_cache, reduce
 
-from .coact import Morphism
+from .coact import Morphism, same_generators
 from .ncalg import (Generator, NCPolynomial, Presentation, RewriteRule,
                     UnorientableRuleError, check_termination, render_poly,
-                    render_word, star_closure, tensor)
-from .scalars import Scalar
+                    render_word, star_closure, tensor, twist)
+from .scalars import Scalar, psi_phase, psi_tilde_phase
 
 BUILTIN_NAMES = ("lorentz", "minkowski", "coaction", "classical")
 
 RESERVED = {"q", "i", "gen", "selfadjoint", "heavy", "weight", "rel",
-            "algebra", "morphism", "use"}
+            "algebra", "morphism", "use", "twist", "by", "of"}
+
+# the phase functions a twist may name; no other text is looked up
+PHASES = {"psi": psi_phase, "psi_tilde": psi_tilde_phase}
 
 
 class DslError(ValueError):
@@ -121,8 +130,10 @@ def _tokenize(text, filename):
 # ---------------------------------------------------------------------------
 
 
-class ParsedFile(namedtuple("ParsedFile", "presentations morphisms")):
-    """The algebras in scope (imported ones included) and morphisms, by name."""
+class ParsedFile(namedtuple("ParsedFile", "presentations morphisms images")):
+    """The algebras in scope (imported ones included) and morphisms, by
+    name, and the unstarred images of the file's own morphisms as typed,
+    before normalization (what a copy of a morphism copies)."""
 
     __slots__ = ()
 
@@ -159,20 +170,34 @@ class _Parser:
         tok = tok or self.peek()
         return DslError(message, tok.line, tok.col, self.filename)
 
+    def keyword(self, word):
+        tok = self.next()
+        if tok.kind != "ident" or tok.text != word:
+            raise self.error(f"expected '{word}', found {tok.text!r}", tok)
+
+    def listed(self, item, sep=","):
+        """item() (sep item())*, as a list."""
+        out = [item()]
+        while self.peek().kind == sep:
+            self.next()
+            out.append(item())
+        return out
+
     # -- file ----------------------------------------------------------------
 
     def parse_file(self) -> ParsedFile:
-        parsed = ParsedFile({}, {})
+        parsed = ParsedFile({}, {}, {})
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.kind == "ident" and tok.text == "use":
                 self.parse_use(parsed)
             elif tok.kind == "ident" and tok.text == "algebra":
-                pres = self.parse_algebra()
+                pres = self.parse_algebra(parsed.presentations)
                 self._declare(parsed.presentations, "algebra", pres, tok)
             elif tok.kind == "ident" and tok.text == "morphism":
-                m = self.parse_morphism(parsed.presentations)
+                m, images = self.parse_morphism(parsed.presentations)
                 self._declare(parsed.morphisms, "morphism", m, tok)
+                parsed.images[m.name] = images
             else:
                 raise self.error(
                     f"expected 'use', 'algebra' or 'morphism', found {tok.text!r}")
@@ -180,20 +205,19 @@ class _Parser:
 
     def parse_use(self, parsed):
         self.expect("ident")  # 'use'
-        while True:
-            tok = self.expect("ident", "builtin name")
-            if tok.text not in BUILTIN_NAMES:
-                raise self.error(f"unknown builtin {tok.text!r}; expected one "
-                                 f"of {', '.join(BUILTIN_NAMES)}", tok)
-            used = builtin(tok.text)
+        for tok in self.listed(lambda: self.expect("ident", "builtin name")):
+            used = self._builtin(tok)
             for pres in used.presentations.values():
                 self._declare(parsed.presentations, "algebra", pres, tok)
             for m in used.morphisms.values():
                 self._declare(parsed.morphisms, "morphism", m, tok)
-            if self.peek().kind != ",":
-                break
-            self.next()
         self.expect(";")
+
+    def _builtin(self, tok) -> ParsedFile:
+        if tok.text not in BUILTIN_NAMES:
+            raise self.error(f"unknown builtin {tok.text!r}; expected one "
+                             f"of {', '.join(BUILTIN_NAMES)}", tok)
+        return builtin(tok.text)
 
     def _declare(self, table, kind, obj, tok):
         # the same builtin object may come into scope twice (use lorentz, coaction)
@@ -202,9 +226,60 @@ class _Parser:
 
     # -- algebra blocks --------------------------------------------------------
 
-    def parse_algebra(self) -> Presentation:
+    def parse_algebra(self, presentations) -> Presentation:
+        """A block or a twist, termination-checked and star-closed alike."""
         self.expect("ident")  # 'algebra'
         name_tok = self.expect("ident", "algebra name")
+        if self.peek().kind == "=":
+            pres = self._parse_twist(name_tok, presentations)
+            heads = [name_tok] * len(pres.rules)
+        else:
+            pres, heads = self._parse_block(name_tok)
+        report = check_termination(pres)
+        if not report.ok:
+            rule, word = report.violations[0]
+            head = next(h for h, r in zip(heads, pres.rules) if r is rule)
+            lhs = render_word(rule.lhs, pres)
+            bad = render_word(word, pres)
+            raise DslError(
+                f"rule {lhs!r} is not order-decreasing (offending word {bad!r})",
+                head.line, head.col, self.filename)
+        try:
+            pres = star_closure(pres)
+        except UnorientableRuleError as exc:
+            raise self.error(f"star closure of {pres.name}: {exc}", name_tok)
+        if not check_termination(pres).ok:
+            raise self.error(f"star closure of {pres.name} broke the term order",
+                             name_tok)
+        return pres
+
+    def _parse_twist(self, name_tok, presentations) -> Presentation:
+        """= twist PARTNER by PHASE, ...;"""
+        self.expect("=")
+        self.keyword("twist")
+        partner_tok = self.expect("ident", "algebra name")
+        partner = presentations.get(partner_tok.text)
+        if partner is None:
+            try:
+                partner = builtin_algebra(partner_tok.text)
+            except DslError:
+                raise self.error(f"unknown algebra {partner_tok.text!r}",
+                                 partner_tok) from None
+        self.keyword("by")
+        phases = []
+        for tok in self.listed(lambda: self.expect("ident", "phase name")):
+            if tok.text not in PHASES:
+                raise self.error(f"unknown phase {tok.text!r}; expected one of "
+                                 f"{', '.join(PHASES)}", tok)
+            phases.append(PHASES[tok.text])
+        self.expect(";")
+        try:
+            return twist(partner, name_tok.text, phases)
+        except ValueError as exc:
+            raise self.error(str(exc), partner_tok) from None
+
+    def _parse_block(self, name_tok):
+        """{ declarations }: the presentation, and each rule's rel token."""
         self.expect("{")
         order, selfadj, heavy, weights = [], set(), set(), {}
         rel_spans = []
@@ -265,25 +340,7 @@ class _Parser:
                                  head)
             rules.append(RewriteRule(tuple(lhs), rhs))
         self.pos = resume
-
-        pres = pres.with_rules(rules)
-        report = check_termination(pres)
-        if not report.ok:
-            rule, word = report.violations[0]
-            head = next(h for (_, h), r in zip(rel_spans, rules) if r is rule)
-            lhs = render_word(rule.lhs, pres)
-            bad = render_word(word, pres)
-            raise DslError(
-                f"rule {lhs!r} is not order-decreasing (offending word {bad!r})",
-                head.line, head.col, self.filename)
-        try:
-            pres = star_closure(pres)
-        except UnorientableRuleError as exc:
-            raise self.error(f"star closure of {pres.name}: {exc}", name_tok)
-        if not check_termination(pres).ok:
-            raise self.error(f"star closure of {pres.name} broke the term order",
-                             name_tok)
-        return pres
+        return pres.with_rules(rules), [head for _, head in rel_spans]
 
     def _ident_list(self, order):
         toks = []
@@ -298,10 +355,7 @@ class _Parser:
 
     def _parse_int_vector(self):
         self.expect("[")
-        out = [self._parse_signed_int()]
-        while self.peek().kind == ",":
-            self.next()
-            out.append(self._parse_signed_int())
+        out = self.listed(self._parse_signed_int)
         self.expect("]")
         return out
 
@@ -324,23 +378,50 @@ class _Parser:
 
     # -- morphism blocks --------------------------------------------------------
 
-    def parse_morphism(self, presentations) -> Morphism:
+    def parse_morphism(self, presentations):
+        """The morphism, and its unstarred images as typed or copied."""
         self.expect("ident")  # 'morphism'
         name_tok = self.expect("ident", "morphism name")
         self.expect(":")
         dom_tok = self.expect("ident", "domain algebra name")
-        if dom_tok.text not in presentations:
-            raise self.error(f"unknown algebra {dom_tok.text!r}", dom_tok)
-        domain = presentations[dom_tok.text]
         self.expect("arrow", "'->'")
-        factors = [self.expect("ident", "codomain algebra name")]
-        while self.peek().kind == "@":
-            self.next()
-            factors.append(self.expect("ident", "codomain algebra name"))
-        for tok in factors:
+        factors = self.listed(lambda: self.expect("ident", "codomain algebra name"),
+                              "@")
+        for tok in (dom_tok, *factors):
             if tok.text not in presentations:
                 raise self.error(f"unknown algebra {tok.text!r}", tok)
+        domain = presentations[dom_tok.text]
         codomain = reduce(tensor, [presentations[t.text] for t in factors])
+        if self.peek().kind == "=":
+            images = self._copied_images(domain, codomain)
+        else:
+            images = self._image_block(domain, codomain)
+        try:
+            m = Morphism.from_unstarred(name_tok.text, domain, codomain, images)
+        except ValueError as exc:
+            raise DslError(str(exc), name_tok.line, name_tok.col, self.filename)
+        return m, images
+
+    def _copied_images(self, domain, codomain):
+        """= PARTNER of BUILTIN;"""
+        self.expect("=")
+        name_tok = self.expect("ident", "morphism name")
+        self.keyword("of")
+        file_tok = self.expect("ident", "builtin name")
+        source = self._builtin(file_tok)
+        if name_tok.text not in source.images:
+            raise self.error(f"{file_tok.text}.qalg declares no morphism "
+                             f"{name_tok.text!r}", name_tok)
+        partner = source.morphism(name_tok.text)
+        for mine, theirs in ((domain, partner.domain),
+                             (codomain, partner.codomain)):
+            if not same_generators(mine, theirs):
+                raise self.error(f"{mine.name} and {theirs.name} do not list the "
+                                 f"same generators", name_tok)
+        self.expect(";")
+        return source.images[name_tok.text]
+
+    def _image_block(self, domain, codomain):
         self.expect("{")
         images = {}
         while self.peek().kind != "}":
@@ -359,10 +440,7 @@ class _Parser:
             images[idx] = self.parse_poly(codomain)
             self.expect(";")
         self.expect("}")
-        try:
-            return Morphism.from_unstarred(name_tok.text, domain, codomain, images)
-        except ValueError as exc:
-            raise DslError(str(exc), name_tok.line, name_tok.col, self.filename)
+        return images
 
     # -- polynomials -------------------------------------------------------------
 
@@ -516,12 +594,19 @@ def builtin(name: str) -> ParsedFile:
     return parse(_load_source(name), filename=f"{name}.qalg")
 
 
+@lru_cache(maxsize=None)
+def _algebra_names(file: str) -> frozenset:
+    """The names after the token `algebra` in a builtin file, read once per
+    process (each twist of a builtin partner looks it up)."""
+    words = [tok.text for tok in _tokenize(_load_source(file), file)]
+    return frozenset(b for a, b in zip(words, words[1:]) if a == "algebra")
+
+
 def builtin_algebra(name: str) -> Presentation:
     """The builtin algebra NAME.  Its file is found by the tokens `algebra
     NAME`, so only that file and the ones it `use`s are parsed."""
     for file in BUILTIN_NAMES:
-        words = [tok.text for tok in _tokenize(_load_source(file), file)]
-        if ("algebra", name) in zip(words, words[1:]):
+        if name in _algebra_names(file):
             return builtin(file).presentation(name)
     raise DslError(f"no builtin algebra named {name!r}")
 

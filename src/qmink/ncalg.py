@@ -58,11 +58,11 @@ class Generator(namedtuple("Generator", "name star_partner starred leg weight he
     """One generator of a presented *-algebra.
 
     star_partner is an index (self for self-adjoint generators); leg tags
-    the tensor factor; weight is optional metadata recording the scaling
-    exponents (u1, v1, u2, v2, ...) of the generator under the deforming
-    one-parameter conjugations, one (u, v) pair per complex parameter with
-    the convention  lambda_z g lambda_z^* = e^{u z - v zbar} g,  so the
-    star partner carries the pairwise (-v, -u) vector.
+    the tensor factor; weight is the optional grading that `twist` reads:
+    the scaling exponents (u1, v1, u2, v2, ...) of the generator under the
+    deforming one-parameter conjugations, one (u, v) pair per complex
+    parameter with the convention  lambda_z g lambda_z^* = e^{u z - v zbar} g,
+    so the star partner carries the pairwise (-v, -u) vector.
     """
 
     __slots__ = ()
@@ -498,6 +498,38 @@ def star_closure(pres: Presentation) -> Presentation:
             break
         rules.extend(new_rules)
     return pres.with_rules([RewriteRule(r.lhs, work.normalize(r.rhs)) for r in rules])
+
+
+def twist(pres: Presentation, name: str, phases) -> Presentation:
+    """The same generators, each rule lhs -> sum c_w w becoming
+    lhs -> sum c_w q^(P(lhs) - P(w)) w: P(u) sums phases[k](z_k(u_i), z_k(u_j))
+    over the letter pairs i < j of u and the legs k of the weights, each
+    (u_k, v_k) read as z_k = u_k + i v_k.  A weight without one pair per
+    phase is a ValueError; a non-integral exponent is a RuntimeError, never
+    rounded (psi and psi~ are integral on Gaussian integers)."""
+    legs = []
+    for g in pres.generators:
+        pairs = len(g.weight or ()) // 2
+        if pairs != len(phases):
+            raise ValueError(f"cannot twist {pres.name} by {len(phases)} phase(s): "
+                             f"generator {g.display()} has {pairs} weight pair(s)")
+        legs.append([complex(u, v) for u, v in zip(g.weight[0::2], g.weight[1::2])])
+
+    def pair_phase(word):
+        return sum(f(z, y) for i, j in itertools.combinations(word, 2)
+                   for f, z, y in zip(phases, legs[i], legs[j]))
+
+    rules = []
+    for rule in pres.rules:
+        terms = {}
+        for word, coeff in rule.rhs._terms.items():
+            k = pair_phase(rule.lhs) - pair_phase(word)
+            if k != int(k):
+                raise RuntimeError(f"twist of {pres.name}: q-exponent {k} of "
+                                   f"{render_word(word, pres)} is not an integer")
+            terms[word] = coeff * Scalar.q_power(int(k))
+        rules.append(RewriteRule(rule.lhs, NCPolynomial(terms)))
+    return Presentation(name, pres.generators, rules)
 
 
 def tensor(p1: Presentation, p2: Presentation) -> Presentation:

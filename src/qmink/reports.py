@@ -64,10 +64,6 @@ class NumericCheck(namedtuple("NumericCheck", "name parts")):
 
     __slots__ = ()
 
-    @property
-    def max_residual(self) -> float:
-        return worst_of(r for _, r in self.parts)
-
 
 class CheckResult(namedtuple("CheckResult", "name passed residual detail",
                              defaults=(None, None))):

@@ -16,6 +16,9 @@ first appears (inverting a unit of Z[i], as star closure does with +-q^k,
 needs none).  Both types are arbitrary precision, compare and hash alike
 (`3 == Fraction(3)`), and render alike.  The only lossy operation is the
 explicit bridge `Scalar.eval(s)` into complex doubles.
+
+The cocycles' s-free real phases (`psi_phase`, ...; `cocycle` checks them)
+live here because `ncalg.twist` reads psi and psi~ too, as exponents of q.
 """
 
 import math
@@ -301,6 +304,28 @@ def _render_monomial(coeff: GaussianRational, k: int) -> str:
     if coeff == -GR_ONE:
         return "-" + qpart
     return f"{coeff}*{qpart}"
+
+
+def psi_phase(z1, z2):
+    return (z1 * z2.conjugate()).imag
+
+
+def psi_tilde_phase(z1, z2):
+    """psi~(z1, z2) = conj(psi(-z1, -z2)); for this psi it is conj(psi(z1, z2))."""
+    return -psi_phase(-z1, -z2)
+
+
+def psi_star_phase(z1, z2):
+    """psi*(z1, z2) = conj(psi(z1, -z1 - z2)); for this psi it is psi itself."""
+    return -psi_phase(z1, -z1 - z2)
+
+
+def omega_phase(z):
+    return 0.5 * (z * z).imag
+
+
+def dual_phase(z1, z2):
+    return (z1 * z2).imag
 
 
 ONE = Scalar.one()

@@ -116,7 +116,8 @@ def run_presentation_suite(samples: int = 1000, seed: int = 0,
 def _morphism_suite(suite, file, name, kind, square) -> SuiteReport:
     """The builtin morphism `name`'s relations and star-equivariance (one
     `validate()`), its square against Delta on its domain's unstarred
-    generators, and q = 1."""
+    generators, and q = 1, which holds by construction but stays, as
+    `report-all` pins four checks per suite (`coact.classical_limit_compare`)."""
     m = builtin(file).morphism(name)
     stars, relations = m.validate()
     checks = [

@@ -19,6 +19,7 @@ import pytest
 import qmink
 from qmink.cli import build_parser, main
 from qmink.ncalg import Presentation, StepLimitExceeded
+from typed_builtins import MINKOWSKI
 
 
 SCHEMA = json.loads(
@@ -594,24 +595,32 @@ def _run_python(*argv):
                           text=True, env=env, timeout=120)
 
 
-def test_normalize_loads_no_numeric_module():
+# minkowski is derived from classical.qalg, whose twist reads the phases
+@pytest.mark.parametrize("file, expression, normal_form", [
+    ("lorentz", "d a", "1 + b c"), ("minkowski", "w x", "q^-4 x w")],
+    ids=["lorentz", "minkowski"])
+def test_normalize_loads_no_numeric_module(file, expression, normal_form):
     proc = _run_python("-c", (
-        "import sys; from qmink.cli import main; "
-        "main(['normalize', 'lorentz', 'd a']); "
+        f"import sys; from qmink.cli import main; "
+        f"main(['normalize', {file!r}, {expression!r}]); "
         "print([m for m in ('qmink.oplab', 'qmink.cocycle', 'qmink.suites', "
         "'qmink.reports', 'json') if m in sys.modules])"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["1 + b c", "[]"]
+    assert proc.stdout.splitlines() == [normal_form, "[]"]
 
 
-def test_one_builtin_algebra_parses_only_its_own_file():
+# lorentz.qalg twists classical_lorentz, so it parses classical.qalg too
+@pytest.mark.parametrize("algebra, files", [("classical_lorentz", 1),
+                                            ("lorentz", 2)],
+                         ids=["classical_lorentz", "lorentz"])
+def test_one_builtin_algebra_parses_only_its_own_file(algebra, files):
     proc = _run_python("-c", (
         "import qmink.dsl; from qmink.cli import main; "
-        "code = main(['check', 'presentation', '--algebra', "
-        "'classical_lorentz', '--samples', '20']); "
+        f"code = main(['check', 'presentation', '--algebra', {algebra!r}, "
+        "'--samples', '20']); "
         "print(code, qmink.dsl.builtin.cache_info().currsize)"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 1"
+    assert proc.stdout.splitlines()[-1] == f"0 {files}"
 
 
 # stdlib modules no command needs on its normal path (each costs start-up);
@@ -757,15 +766,27 @@ def test_a_shipped_file_means_the_same_by_path_and_by_name(
 
 def test_a_star_inconsistent_file_exits_2_with_one_located_line(tmp_path, capsys):
     path = tmp_path / "mutated.qalg"
-    path.write_text((DATA / "minkowski.qalg").read_text("utf-8").replace(
-        "rel w x = q^-4 x w;", "rel w x = q^4 x w;"))
+    path.write_text(MINKOWSKI.replace("rel w x = q^-4 x w;", "rel w x = q^4 x w;"))
     for argv in (["check", "presentation", "--file", str(path)],
                  ["normalize", str(path), "x"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == (f"qmink: {path}:6:9: star closure of minkowski: cannot "
+        assert err == (f"qmink: {path}:1:9: star closure of minkowski: cannot "
                        "orient (1 - q^8) x w' = 0: its leading coefficient "
                        "1 - q^8 is not invertible\n")
+
+
+def test_a_copied_morphism_of_the_wrong_shape_exits_2(tmp_path, capsys):
+    """Delta's images are over classical_lorentz, not minkowski: a usage
+    error at the copied name, not the classical-limit check's internal one."""
+    path = tmp_path / "copy.qalg"
+    path.write_text("use minkowski, lorentz;\nmorphism D : minkowski -> "
+                    "minkowski @ lorentz = Delta of classical;\n")
+    code, out, err = run(capsys, "normalize", str(path), "x", "--algebra",
+                         "minkowski")
+    assert (code, out) == (2, "")
+    assert err == (f"qmink: {path}:2:49: minkowski and classical_lorentz do "
+                   "not list the same generators\n")
 
 
 # -- a reader that leaves early ------------------------------------------------------

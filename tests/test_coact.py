@@ -13,6 +13,7 @@ from qmink.dsl import BUILTIN_NAMES, builtin, parse_expression
 from qmink.ncalg import (Generator, NCPolynomial, Presentation, RewriteRule,
                          tensor)
 from qmink.scalars import GaussianRational, Scalar
+from typed_builtins import LORENTZ, MAPS, MINKOWSKI
 
 
 def delta():
@@ -452,16 +453,17 @@ def test_validate_is_star_equivariance_then_relations():
 
 def test_a_wrong_shipped_morphism_loads_and_fails_check_hopf(monkeypatch,
                                                             capsys):
-    """With a -> a@a + b@c changed to a -> a@a in the shipped lorentz.qalg,
-    loading validates nothing, so a command that does not read Delta runs
-    as usual, and check hopf reports the failure as a verdict (exit 1) with
-    a residual that replays."""
+    """With a -> a@a + b@c changed to a -> a@a in the shipped
+    classical.qalg, whose images lorentz.qalg's Delta copies, loading
+    validates nothing, so a command that does not read Delta runs as usual,
+    and check hopf reports the failure as a verdict (exit 1) with a residual
+    that replays."""
     import qmink.dsl
     from qmink.cli import main
     source = qmink.dsl._load_source
     monkeypatch.setattr(qmink.dsl, "_load_source", lambda name: (
         source(name).replace("a -> a@a + b@c;", "a -> a@a;")
-        if name == "lorentz" else source(name)))
+        if name == "classical" else source(name)))
     builtin.cache_clear()
     try:
         assert main(["normalize", "lorentz", "d a"]) == 0
@@ -548,10 +550,9 @@ def test_flipping_one_constant_breaks_star_consistency():
     star-inconsistent: its closure would need the torsion relation
     (1 - q^8) x w' = 0, whose leading coefficient is not invertible, so
     parsing it fails at the algebra's name."""
-    from qmink.dsl import DslError, _load_source, parse
-    src = _load_source("minkowski").replace("rel w x = q^-4 x w;",
-                                            "rel w x = q^4 x w;")
-    with pytest.raises(DslError, match=r"^mutated\.qalg:6:9: star closure of "
+    from qmink.dsl import DslError, parse
+    src = MINKOWSKI.replace("rel w x = q^-4 x w;", "rel w x = q^4 x w;")
+    with pytest.raises(DslError, match=r"^mutated\.qalg:1:9: star closure of "
                        r"minkowski: cannot orient \(1 - q\^8\) x w' = 0"):
         parse(src, "mutated.qalg")
 
@@ -560,13 +561,10 @@ def test_wrong_commutation_constants_are_caught_by_the_coaction_check():
     """Flipping the (x, w) pair's constants consistently (so the star
     closure still goes through) must break the coaction's relation check:
     the verifier is sensitive to the scalars, not just the words."""
-    from qmink.dsl import _load_source, parse
-    coaction = _load_source("coaction")
-    src = (_load_source("minkowski")
-           .replace("rel w x = q^-4 x w;", "rel w x = q^4 x w;")
+    from qmink.dsl import parse
+    src = (MINKOWSKI.replace("rel w x = q^-4 x w;", "rel w x = q^4 x w;")
            .replace("rel w' x = q^4 x w';", "rel w' x = q^-4 x w';")
-           + _load_source("lorentz")
-           + coaction[coaction.index("morphism DeltaH"):])
+           + LORENTZ + MAPS)
     wrong = parse(src, "mutated.qalg").morphisms["DeltaH"]
     report = coact.check_relations_preserved(wrong)
     assert not report.ok

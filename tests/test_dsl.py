@@ -13,6 +13,7 @@ from qmink.dsl import (BUILTIN_NAMES, DslError, ParsedFile, _load_source,
                        render_poly)
 from qmink.ncalg import NCPolynomial, check_local_confluence
 from qmink.scalars import Scalar
+from typed_builtins import TEXT
 
 
 def test_builtin_lorentz_has_eight_generators():
@@ -157,10 +158,11 @@ def test_redeclaring_an_imported_morphism_is_a_located_error():
 
 
 def test_use_is_a_reserved_word():
-    with pytest.raises(DslError) as err:
-        parse("algebra tiny {\n  gen a use;\n}\n")
-    assert (err.value.line, err.value.col) == (2, 9)
-    assert "invalid generator name 'use'" in err.value.message
+    for word in ("use", "twist", "by", "of"):
+        with pytest.raises(DslError) as err:
+            parse(f"algebra tiny {{\n  gen a {word};\n}}\n")
+        assert (err.value.line, err.value.col) == (2, 9)
+        assert f"invalid generator name {word!r}" in err.value.message
 
 
 def test_every_builtin_is_confluent():
@@ -311,12 +313,89 @@ def test_readme_qalg_example_parses_and_matches_lorentz():
     assert any("(" in line.split("#")[0] for line in block.splitlines())
     parsed = parse(block, "README.md")
     lorentz = builtin("lorentz")
-    # the example transcribes the whole builtin, so its morphism validates
-    assert parsed.presentations["lorentz"] == lorentz.presentation("lorentz")
+    # the example types out the rules and images the builtin derives from
+    # classical.qalg (only its weights are left out), so its morphism validates
+    assert parsed.presentations["lorentz"].rules == \
+        lorentz.presentation("lorentz").rules
     assert parsed.morphisms["Delta"].images == lorentz.morphism("Delta").images
     for m in parsed.morphisms.values():
         stars, relations = m.validate()
         assert stars.ok and relations.ok, m
+    # the next block is the shipped lorentz.qalg without its comments
+    shipped = [line for line in _load_source("lorentz").splitlines()
+               if not line.startswith("#")]
+    assert section.split("```\n", 4)[3].splitlines() == shipped
+
+
+# -- the deformed builtins, derived from the classical ones -------------------------
+
+
+def test_the_derived_builtins_are_the_typed_ones_rule_for_rule():
+    typed = parse(TEXT, "typed.qalg")
+    for name, count in (("lorentz", 30), ("minkowski", 6)):
+        derived, want = builtin_algebra(name), typed.presentation(name)
+        # the same generators, which carry the classical weights as well
+        assert [g._replace(weight=None) for g in derived.generators] == \
+            list(want.generators)
+        assert derived.generators == builtin_algebra(f"classical_{name}").generators
+        assert len(derived.rules) == count and derived.rules == want.rules
+    for file, name in (("lorentz", "Delta"), ("coaction", "DeltaH")):
+        assert builtin(file).morphism(name).images == typed.morphism(name).images
+
+
+def lorentz_derived_from(classical):
+    """lorentz.qalg's algebra line, twisting the classical_lorentz that the
+    classical.qalg text `classical` declares (it comes first in scope)."""
+    line = next(line for line in _load_source("lorentz").splitlines()
+                if line.startswith("algebra lorentz"))
+    return parse(classical[:classical.index("morphism")] + line)
+
+
+MUTANTS = {
+    "swapped phases": lambda: (
+        parse(_load_source("lorentz").replace("by psi_tilde, psi;",
+                                              "by psi, psi_tilde;")), TEXT),
+    "flipped weight sign": lambda: (lorentz_derived_from(
+        _load_source("classical").replace("weight b = [-1, 0, -1, 0];",
+                                          "weight b = [1, 0, -1, 0];")), TEXT),
+    "q^-4 in the oracle": lambda: (
+        builtin("lorentz"), TEXT.replace("rel b' a = q^4 a b';",
+                                         "rel b' a = q^-4 a b';")),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_each_mutant_fails_the_derived_against_typed_comparison(mutant):
+    derived, typed = MUTANTS[mutant]()
+    assert derived.presentation("lorentz").rules != \
+        parse(typed).presentation("lorentz").rules
+
+
+@pytest.mark.parametrize("src, where, message", [
+    ("algebra t = twist classical_minkowski by phi;", (1, 42),
+     "unknown phase 'phi'; expected one of psi, psi_tilde"),
+    ("algebra t = twist poincare by psi;", (1, 19), "unknown algebra 'poincare'"),
+    ("algebra plane {\n  gen u v;\n}\nalgebra t = twist plane by psi;", (4, 19),
+     "cannot twist plane by 1 phase(s): generator u has 0 weight pair(s)"),
+    ("algebra t = twist classical_lorentz by psi;", (1, 19),
+     "cannot twist classical_lorentz by 1 phase(s): generator a has 2 "
+     "weight pair(s)"),
+    ("use lorentz;\nmorphism D : lorentz -> lorentz @ lorentz = Gamma of "
+     "classical;", (2, 45), "classical.qalg declares no morphism 'Gamma'"),
+    ("use lorentz;\nmorphism D : lorentz -> lorentz @ lorentz = Delta of "
+     "poincare;", (2, 54), "unknown builtin 'poincare'; expected one of "
+     "lorentz, minkowski, coaction, classical"),
+    ("use minkowski, lorentz;\nmorphism D : minkowski -> minkowski @ lorentz = "
+     "Delta of classical;", (2, 49),
+     "minkowski and classical_lorentz do not list the same generators"),
+    ("use lorentz;\nmorphism D : lorentz -> lorentz = Delta of classical;",
+     (2, 35), "lorentz and classical_lorentz@classical_lorentz do not list "
+     "the same generators"),
+])
+def test_a_bad_twist_or_copy_is_a_located_error(src, where, message):
+    with pytest.raises(DslError) as err:
+        parse(src, "t.qalg")
+    assert ((err.value.line, err.value.col), err.value.message) == (where, message)
 
 
 SCALAR_FACTORS = {"3": Scalar.of(Fraction(3)), "1/2": Scalar.of(Fraction(1, 2)),

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmink.coact import leg_extend
-from qmink.dsl import _load_source, builtin, parse_expression
+from qmink.dsl import builtin, parse_expression
 from qmink.ncalg import (Generator, NCPolynomial, Presentation, RewriteRule,
                          StepLimitExceeded, UnorientableRuleError,
                          check_local_confluence, check_termination, orient,
-                         star_closure, tensor)
-from qmink.scalars import GaussianRational, Scalar
+                         star_closure, tensor, twist)
+from qmink.scalars import GaussianRational, Scalar, psi_phase
+from typed_builtins import LORENTZ, MINKOWSKI
 
 
 def lorentz():
@@ -435,12 +436,13 @@ def test_declaring_determinant_generators_nonadjacent_breaks_confluence():
 
 
 def declared(name):
-    """The rules a builtin file declares, over its algebra's generators and
-    not star-closed (`parse` closes every algebra it reads)."""
+    """The typed rules of a deformed builtin (`typed_builtins`), over its
+    algebra's generators and not star-closed (`parse` closes every algebra
+    it reads)."""
     bare = Presentation(name, builtin(name).presentation(name).generators)
     rules = []
-    for lhs, rhs in re.findall(r"^\s*rel ([^=]+)=([^;]+);", _load_source(name),
-                               re.M):
+    text = {"lorentz": LORENTZ, "minkowski": MINKOWSKI}[name]
+    for lhs, rhs in re.findall(r"^\s*rel ([^=]+)=([^;]+);", text, re.M):
         (word,) = parse_expression(lhs, bare).words()
         rules.append(RewriteRule(word, parse_expression(rhs, bare)))
     return bare.with_rules(rules)
@@ -459,6 +461,17 @@ def test_star_closure_of_lorentz_derives_thirteen_rules():
 
 def nf_rule(pres, text):
     return pres.normalize(parse_expression(text, pres))
+
+
+def test_a_twist_keeps_the_generators_and_never_rounds_an_exponent():
+    classical = builtin("classical").presentation("classical_minkowski")
+    twisted = twist(classical, "mink", [psi_phase])
+    assert twisted.generators == classical.generators
+    assert [r.lhs for r in twisted.rules] == [r.lhs for r in classical.rules]
+    # psi is integral on Gaussian integers; an eighth of it is not
+    with pytest.raises(RuntimeError, match=r"q-exponent -0\.5 of x w is not an "
+                       r"integer"):
+        twist(classical, "mink", [lambda z1, z2: psi_phase(z1, z2) / 8])
 
 
 def test_star_closure_of_minkowski_is_trivial():
