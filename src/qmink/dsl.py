@@ -59,7 +59,7 @@ from .coact import Morphism, same_generators
 from .ncalg import (Generator, NCPolynomial, Presentation, RewriteRule,
                     UnorientableRuleError, check_termination, render_poly,
                     render_word, star_closure, tensor, twist)
-from .scalars import Scalar, psi_phase, psi_tilde_phase
+from .scalars import ONE, Scalar, psi_phase, psi_tilde_phase
 
 BUILTIN_NAMES = ("lorentz", "minkowski", "coaction", "classical")
 
@@ -235,9 +235,9 @@ class _Parser:
             heads = [name_tok] * len(pres.rules)
         else:
             pres, heads = self._parse_block(name_tok)
-        report = check_termination(pres)
-        if not report.ok:
-            rule, word = report.violations[0]
+        violations = check_termination(pres)
+        if violations:
+            rule, word = violations[0]
             head = next(h for h, r in zip(heads, pres.rules) if r is rule)
             lhs = render_word(rule.lhs, pres)
             bad = render_word(word, pres)
@@ -248,7 +248,7 @@ class _Parser:
             pres = star_closure(pres)
         except UnorientableRuleError as exc:
             raise self.error(f"star closure of {pres.name}: {exc}", name_tok)
-        if not check_termination(pres).ok:
+        if check_termination(pres):
             raise self.error(f"star closure of {pres.name} broke the term order",
                              name_tok)
         return pres
@@ -457,7 +457,7 @@ class _Parser:
         return poly
 
     def _parse_term(self, pres, negate) -> NCPolynomial:
-        coeff = Scalar.one()
+        coeff = ONE
         word = []
         leg = 0
         saw_factor = False

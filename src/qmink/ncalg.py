@@ -22,23 +22,25 @@ the first declared rule matching there, found through an index from
 left-hand side to rule; after a rewrite the scan resumes where a new redex
 can first start.  Words waiting to be rewritten merge, so paths that meet
 are rewritten once from there on, and one rewrite is one step of the
-budget.  In a tensor product (y x -> x y with coefficient 1 for every
-letter y on a higher leg than x, every other rule within one leg) each
-input word is first stable-sorted by leg, which is what those cross-leg
-rules produce; the sort is no step of the budget.  The random-redex
+budget.  In a product that `tensor` builds from one-leg factors (y x ->
+x y with coefficient 1 for every letter y on a higher leg than x, every
+other rule within one leg) each input word is first stable-sorted by leg,
+which is what those cross-leg rules produce; the sort is no step of the
+budget.  Any other presentation rewrites each swap.  The random-redex
 strategy (``rng=``) scans without the index, sorts nothing and merges
 nothing: it is the independent oracle the deterministic one is checked
 against.
 
-Normalization is pure; structures are immutable, but for the per-process
-tensor memo that `tensor` fills: `Presentation.factors` and `_products`.
+Normalization is pure; structures are immutable, but for what `tensor`
+fills: a product's `factors` and `_legs`, and the per-process memo
+`_products`.
 """
 
 import heapq
 import itertools
 from collections import namedtuple
 
-from .scalars import ONE, Scalar, join_terms
+from .scalars import ONE, ZERO, Scalar, join_terms
 
 Word = tuple  # tuple of generator indices
 
@@ -100,7 +102,7 @@ class NCPolynomial:
         return self._terms.keys()
 
     def coefficient(self, word) -> Scalar:
-        return self._terms.get(tuple(word), Scalar.zero())
+        return self._terms.get(tuple(word), ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -191,31 +193,9 @@ class Presentation:
         # a rewrite at i leaves no redex starting before i - _reach
         self._reach = max(self._lhs_lengths, default=1) - 1
         self._heavy = frozenset(i for i, g in enumerate(generators) if g.heavy)
-        self._legs = self._tensor_legs() if self.nlegs > 1 else None
         self.factors = (self,)  # `tensor` sets a product's to its factors'
+        self._legs = None  # `tensor` sets a product's to its generators' legs
         self._products = {}  # ids of the other factors -> product (see tensor)
-
-    def _tensor_legs(self):
-        """Each generator's leg if the rules make this a tensor product, else None.
-
-        That is: y x -> x y with coefficient ONE for every letter y on a
-        higher leg than x, no other left-hand side across legs, and every
-        other rule's words in its left-hand side's leg.
-        """
-        legs = tuple(g.leg for g in self.generators)
-        swaps = set()
-        for rule in self.rules:
-            lhs_legs = {legs[i] for i in rule.lhs}
-            if len(lhs_legs) == 1:
-                if any(legs[i] not in lhs_legs for w in rule.rhs.words() for i in w):
-                    return None
-            elif (len(rule.lhs) == 2 and legs[rule.lhs[0]] > legs[rule.lhs[1]]
-                  and rule.rhs._terms == {rule.lhs[::-1]: ONE}):
-                swaps.add(rule.lhs)
-            else:
-                return None
-        pairs = sum(1 for y in legs for x in legs if y > x)
-        return legs if len(swaps) == pairs else None
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -304,8 +284,9 @@ class Presentation:
         The default strategy is deterministic: leftmost redex, and among
         the rules matching there the first declared, found through the rule
         index; after a rewrite at i the scan resumes at i - (longest lhs - 1).
-        In a tensor product each input word is stable-sorted by leg first,
-        in place of the cross-leg commutations, which are then no steps.
+        In a product that `tensor` built from one-leg factors each input
+        word is stable-sorted by leg first, in place of the cross-leg
+        commutations, which are then no steps.
         A one-term rewrite goes on at once; the reducible words of
         the input and of many-term rewrites wait, equal words merged, and
         are taken greatest first in (heavy degree, length, letters).  Every
@@ -420,17 +401,11 @@ def orient(poly: NCPolynomial, pres: Presentation) -> RewriteRule:
     return RewriteRule(lead, (-rest).scale(inv))
 
 
-class TerminationReport(namedtuple("TerminationReport", "ok violations")):
-    """ok, and the (rule, offending rhs word) pairs."""
-
-    __slots__ = ()
-
-
-def check_termination(pres: Presentation) -> TerminationReport:
-    """Every rule must strictly decrease the term order, word by word."""
-    bad = tuple((rule, w) for rule in pres.rules for w in rule.rhs.words()
-                if not pres.order_key(w) < pres.order_key(rule.lhs))
-    return TerminationReport(not bad, bad)
+def check_termination(pres: Presentation) -> tuple:
+    """Every rule must strictly decrease the term order, word by word:
+    the (rule, offending rhs word) pairs, empty when it terminates."""
+    return tuple((rule, w) for rule in pres.rules for w in rule.rhs.words()
+                 if not pres.order_key(w) < pres.order_key(rule.lhs))
 
 
 # an overlap word of two rules and the normal forms of its two reductions
@@ -538,14 +513,16 @@ def tensor(p1: Presentation, p2: Presentation) -> Presentation:
     Generators of p1 come first (legs unchanged), then p2's with legs
     shifted and every rule moved along by `embed`; the cross-leg rules sort
     lower legs before higher legs with commutation factor 1, so the
-    deformation lives inside each leg.
+    deformation lives inside each leg.  A product of one-leg factors keeps
+    its generators' legs in `_legs`, which selects the leg sort of
+    `normalize`.
 
-    Lemma: a presentation that `_tensor_legs` recognizes is terminating and
-    confluent when each leg is.  A leg rule steps one leg's projection of a
-    word and a swap removes a cross-leg inversion, so rewriting stops; two
-    swaps overlapping in z y x both reach x y z, and a swap overlapping a
-    leg rule resolves by swaps, as the rule's right side lies in its leg, so
-    Newman's lemma applies.  `test_triple_tensors_stay_confluent` is its oracle.
+    Lemma: a product of one-leg factors is terminating and confluent when
+    each factor is.  A leg rule steps one leg's projection of a word and a
+    swap removes a cross-leg inversion, so rewriting stops; two swaps
+    overlapping in z y x both reach x y z, and a swap overlapping a leg rule
+    resolves by swaps, as the rule's right side lies in its leg, so Newman's
+    lemma applies.  `test_triple_tensors_stay_confluent` is its oracle.
 
     Each product is built once per first factor: it is kept there under
     its other factors, so (A @ B) @ C and A @ (B @ C) are one object.
@@ -570,6 +547,8 @@ def tensor(p1: Presentation, p2: Presentation) -> Presentation:
     rules.sort(key=lambda r: r.lhs)
     product = Presentation(f"{p1.name}@{p2.name}", gens, rules)
     product.factors = factors
+    if all(f.nlegs == 1 for f in factors):
+        product._legs = tuple(g.leg for g in gens)
     factors[0]._products[key] = product
     return product
 

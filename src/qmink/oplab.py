@@ -332,14 +332,6 @@ class ShiftMultiplierOperator:
     def __add__(self, other):
         return ShiftMultiplierOperator([*self.atoms.items(), *other.atoms.items()])
 
-    def apply(self, func, point):
-        """Evaluate (A phi)(point) for a sampled/closed-form function phi."""
-        x, y = point
-        total = 0j
-        for (dx, dy), f in self.atoms.items():
-            total += f(x, y) * func(x - dx, y - dy)
-        return total
-
     def __repr__(self):
         return f"ShiftMultiplierOperator({sorted(self.atoms)})"
 
@@ -615,6 +607,15 @@ def check_QQstar(model: PQModel, samples: int = 1000,
                                 ("(QQ*)_22 closed form", r22)))
 
 
+def _commutation_parts(model: PQModel, **kw) -> tuple:
+    """The model's RS = p^2 SR and RS* = q^2 S*R parts, by `op_equal(**kw)`."""
+    p, q, R, S = model.p, model.q, model.R, model.S
+    Sstar = adjoint(S)
+    return (("RS = p^2 SR", op_equal(compose(R, S), compose(S, R).scaled(p * p), **kw)),
+            ("RS* = q^2 S*R",
+             op_equal(compose(R, Sstar), compose(Sstar, R).scaled(q * q), **kw)))
+
+
 def check_twrs(model: PQModel, samples: int = 1000,
                seed: int = 0) -> NumericCheck:
     """RS = p^2 SR, RS* = q^2 S*R, and the joint-core identities
@@ -624,9 +625,7 @@ def check_twrs(model: PQModel, samples: int = 1000,
     """
     p, q, R, S = model.p, model.q, model.R, model.S
     kw = dict(samples=samples, seed=seed)
-    Sstar = adjoint(S)
-    r_comm = op_equal(compose(R, S), compose(S, R).scaled(p * p), **kw)
-    r_comm_star = op_equal(compose(R, Sstar), compose(Sstar, R).scaled(q * q), **kw)
+    commutations = _commutation_parts(model, **kw)
     dd = compose(defect_sqrt(R), defect_sqrt(S))
     core1 = op_equal(compose(compose(R, S), dd),
                      compose(z_transform(R, q / p), z_transform(S)).scaled(p / q),
@@ -634,9 +633,7 @@ def check_twrs(model: PQModel, samples: int = 1000,
     core2 = op_equal(compose(compose(S, R), dd),
                      compose(z_transform(S, p * q), z_transform(R)).scaled(1.0 / (p * q)),
                      **kw)
-    return NumericCheck("twrs", (("RS = p^2 SR", r_comm),
-                                 ("RS* = q^2 S*R", r_comm_star),
-                                 ("core identity RS", core1),
+    return NumericCheck("twrs", (*commutations, ("core identity RS", core1),
                                  ("core identity SR", core2)))
 
 
@@ -664,16 +661,11 @@ def check_symbolic_consistency(s: float, *, samples: int = 1000,
     except OverflowError as exc:
         raise ValueError(f"s={s!r} is outside the model's double-precision "
                          f"range ({exc})") from None
-    kw = dict(samples=samples, seed=seed)
-    r_ops = op_equal(compose(model.R, model.S),
-                     compose(model.S, model.R).scaled(p * p), **kw)
-    r_ops_star = op_equal(compose(model.R, adjoint(model.S)),
-                          compose(adjoint(model.S), model.R).scaled(q * q), **kw)
+    commutations = _commutation_parts(model, samples=samples, seed=seed)
     fwd = Scalar.q_power(4).eval(s)
     bwd = Scalar.q_power(-4).eval(s)
     r_fwd = abs(p * p - fwd) / max(1.0, abs(fwd))
     r_bwd = abs(q * q - bwd) / max(1.0, abs(bwd))
     return NumericCheck("symbolic consistency",
-                        (("RS = p^2 SR", r_ops), ("RS* = q^2 S*R", r_ops_star),
-                         ("p^2 = eval(q^4)", r_fwd),
+                        (*commutations, ("p^2 = eval(q^4)", r_fwd),
                          ("q^2 = eval(q^-4)", r_bwd)))

@@ -146,14 +146,6 @@ class Scalar:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "Scalar":
-        return Scalar()
-
-    @staticmethod
-    def one() -> "Scalar":
-        return Scalar({0: GR_ONE})
-
-    @staticmethod
     def of(value, exponent: int = 0) -> "Scalar":
         """Scalar c * q^exponent for a rational/Gaussian-rational c."""
         if isinstance(value, GaussianRational):
@@ -328,5 +320,5 @@ def dual_phase(z1, z2):
     return (z1 * z2).imag
 
 
-ONE = Scalar.one()
-ZERO = Scalar.zero()
+ONE = Scalar({0: GR_ONE})
+ZERO = Scalar()

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmink.scalars import (GR_I, GR_ONE, GR_ZERO, EvalOverflowError,
-                           GaussianRational, Scalar)
+from qmink.scalars import (GR_I, GR_ONE, GR_ZERO, ONE, ZERO,
+                           EvalOverflowError, GaussianRational, Scalar)
 
 Q = Scalar.q_power
 
@@ -18,7 +18,7 @@ def test_additive_inverse_cancels():
 
 
 def test_disjoint_exponents_merge():
-    s = Scalar.one() + Q(-4)
+    s = ONE + Q(-4)
     assert s.terms == {-4: GR_ONE, 0: GR_ONE}
 
 
@@ -39,7 +39,7 @@ def test_i_squared_is_minus_one():
 
 def test_t_times_t_inverse_is_one():
     t = Q(-4)
-    assert t * t.inverse() == Scalar.one()
+    assert t * t.inverse() == ONE
     assert t.inverse() == Q(4)
 
 
@@ -57,7 +57,7 @@ def test_star_is_an_involution(k, re, im):
 
 def test_eval_at_zero():
     assert Q(-4).eval(0.0) == 1.0
-    assert Scalar.zero().eval(0.37) == 0.0
+    assert ZERO.eval(0.37) == 0.0
 
 
 def test_eval_q_at_half_matches_high_precision_exponential():
@@ -74,16 +74,16 @@ def test_eval_overflow_is_an_error():
 
 def test_non_unit_scalar_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
-        (Scalar.one() + Q(2)).inverse()
+        (ONE + Q(2)).inverse()
 
 
 def test_rendering():
     assert str(Q(-4)) == "q^-4"
     assert str(Scalar.of(2, 1)) == "2*q"
-    assert str(Scalar.one() + Q(-4)) == "q^-4 + 1"
+    assert str(ONE + Q(-4)) == "q^-4 + 1"
     assert str(Scalar.of(GaussianRational.of(1, 1), 2)) == "(1+i)*q^2"
     assert str(-Q(3)) == "-q^3"
-    assert str(Scalar.zero()) == "0"
+    assert str(ZERO) == "0"
     assert str(Scalar.of(Fraction(3, 4))) == "3/4"
 
 

@@ -1,6 +1,7 @@
 """Source rules: an internal invariant is a raised error, not an `assert`,
 so that `python -O` keeps checking it, and not an `AssertionError`, which
-is how a removed `assert` tends to come back."""
+is how a removed `assert` tends to come back.  And the change log stays a
+file one can read."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,12 @@ def test_the_package_raises_no_assertion_error():
              if isinstance(node, ast.Raise)
              and raised_name(node) == "AssertionError"]
     assert found == []
+
+
+def test_the_change_log_stays_small():
+    """An edit that once spliced one sentence between every two characters
+    of CHANGES.md made it 130 MB; it stays under 1 MB, each line under
+    20,000 characters."""
+    log = SRC.parent.parent / "CHANGES.md"
+    assert log.stat().st_size < 1_000_000
+    assert max(map(len, log.read_text("utf-8").splitlines())) < 20_000

@@ -144,7 +144,6 @@ def test_records_survive_a_pickle_round_trip():
     rule = lorentz.rules[0]
     entry = coact.ResidualEntry("a", rule.rhs, "b c")
     records = [GaussianRational.of("1/3", 2), lorentz.generators[4], rule,
-               ncalg.check_termination(lorentz),
                ncalg.CriticalPair(rule, rule, rule.lhs, rule.rhs, rule.rhs),
                entry, coact.MorphismReport("relations[Delta]", (entry,)),
                Token("ident", "a", 1, 2), CocycleParams(0.5),
